@@ -12,9 +12,6 @@ from .errors import (
 from .grid import (
     GridFunction,
     GridSpec,
-    SpectralFunction,
-    forward_transform,
-    inverse_transform,
     lp_norm,
     random_bandlimited,
     read_binary,
@@ -47,7 +44,6 @@ from .lpaley import (
     smooth_step,
 )
 from .maximal import (
-    MaximalConfig,
     hl_maximal,
     multiplier_maximal_ratio,
     projection_stability_check,
@@ -68,7 +64,6 @@ from .scalars import (
     phi_kappa,
     psi_kappa,
     psi_tail_bound_check,
-    sequence_power_check,
     summation_bound_check,
 )
 from .spaces import (

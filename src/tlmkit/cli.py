@@ -20,15 +20,12 @@ from .grid import GridFunction, GridSpec, random_bandlimited, read_binary, read_
 from .interp import (
     boundary_lipschitz_check,
     build_analytic_family,
-    family_F,
-    family_G,
     global_growth_check,
-    holomorphy_residual,
     make_setup,
 )
 from .lpaley import build_family
 from .morrey import LebesguePair, WindowSampler, morrey_norm
-from .report import BaselineStore, VerificationReport, report_payload, safe_ratio, write_json
+from .report import BaselineStore, report_payload, write_json
 from .spaces import (
     SpaceParams,
     diamond_criterion,
@@ -38,7 +35,10 @@ from .spaces import (
 )
 from .suites import (
     SuiteConfig,
+    anchor_report,
     calibrate_constants,
+    holomorphy_report,
+    reconstruction_report,
     run_maximal_suite,
     run_scalar_empirical_suite,
     run_scalar_exact_suite,
@@ -127,11 +127,9 @@ def _resolve_baseline(token: str):
 
 
 def _load_input(args, spec: GridSpec) -> GridFunction:
-    path = args.input
-    if path.endswith(".csv"):
-        return read_csv(path, spec)
-    f = read_binary(path)
-    return f
+    if args.input.endswith(".csv"):
+        return read_csv(args.input, spec)
+    return read_binary(args.input)
 
 
 def _print_reports(reports) -> int:
@@ -256,27 +254,8 @@ def cmd_interp_demo(args) -> int:
     sampler = _sampler_from_args(args, spec)
     fam = build_analytic_family(args.kind, setup, f, family, sampler)
 
-    reports = []
-    mid = family_F(fam, setup.theta)
-    scale = float(np.linalg.norm(fam.base.values.ravel()))
-    recon = float(np.linalg.norm((mid - fam.base).values.ravel())) / max(scale, 1e-300)
-    reports.append(VerificationReport(
-        check="reconstruction", parameters={"kind": args.kind},
-        lhs=recon, rhs=1e-10, ratio=safe_ratio(recon, 1e-10),
-        verdict="pass" if recon <= 1e-10 else "fail",
-    ))
-    anchor = float(np.linalg.norm(family_G(fam, setup.theta).values.ravel()))
-    reports.append(VerificationReport(
-        check="contour-anchor", parameters={},
-        lhs=anchor, rhs=0.0, ratio=safe_ratio(anchor, 0.0),
-        verdict="pass" if anchor == 0.0 else "fail",
-    ))
-    residual = holomorphy_residual(fam, setup.theta + 0.1 + 0.2j, seed=args.seed)
-    reports.append(VerificationReport(
-        check="holomorphy", parameters={"z": repr(setup.theta + 0.1 + 0.2j)},
-        lhs=residual, rhs=1e-6, ratio=safe_ratio(residual, 1e-6),
-        verdict="pass" if residual <= 1e-6 else "fail",
-    ))
+    reports = [reconstruction_report([fam]), anchor_report([fam]),
+               holomorphy_report(fam, args.seed)]
     pairs = [(0.0, t) for t in (0.05, 0.2, 0.5, 1.0)]
     for side in (0, 1):
         reports.append(boundary_lipschitz_check(fam, side, pairs, sampler))

@@ -1,4 +1,4 @@
-"""Periodic grids, grid functions, and unitary Fourier transforms.
+"""Periodic grids and grid functions.
 
 Euclidean space is modeled by the torus [0, L)^n sampled on a uniform
 lattice of N points per axis (N a power of two).  Frequency-domain
@@ -26,9 +26,6 @@ from .errors import GridMismatchError, ParameterError
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "SpectralFunction",
-    "forward_transform",
-    "inverse_transform",
     "lp_norm",
     "random_bandlimited",
     "refine",
@@ -184,26 +181,6 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Unitary DFT coefficients on the frequency lattice (FFT layout)."""
-
-    spec: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_field(self.spec, self.coeffs))
-
-    def support_radius(self, rel_tol: float = 1e-13) -> float:
-        """Largest |xi| carrying a coefficient above rel_tol * max|coeff|."""
-        mag = np.abs(self.coeffs)
-        peak = float(mag.max())
-        if peak == 0.0:
-            return 0.0
-        live = mag > rel_tol * peak
-        return float(self.spec.frequency_radius[live].max())
-
-
 def _check_same_spec(a, b) -> None:
     if a.spec != b.spec:
         raise GridMismatchError(f"grid mismatch: {a.spec} vs {b.spec}")
@@ -215,26 +192,13 @@ def _reflect_spectrum(arr: np.ndarray) -> np.ndarray:
     return arr[np.ix_(*idx)]
 
 
-def forward_transform(f: GridFunction) -> SpectralFunction:
-    """Unitary DFT; physical and spectral l2 norms agree exactly.
-
-    Always transforms the samples, ignoring any cached spectrum: this is
-    the independent route used to cross-check spectral bookkeeping.
-    """
-    return SpectralFunction(f.spec, np.fft.fftn(f.values, norm="ortho"))
-
-
-def inverse_transform(fh: SpectralFunction) -> GridFunction:
-    return GridFunction(fh.spec, np.fft.ifftn(fh.coeffs, norm="ortho"))
-
-
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete L^p norm (sum |f|^p h^n)^(1/p); p = inf gives the sup."""
+    if not p > 0:
+        raise ParameterError(f"p must be positive, got {p}")
     a = f.modulus()
     if np.isinf(p):
         return float(a.max())
-    if p <= 0:
-        raise ParameterError(f"p must be positive, got {p}")
     return float((np.sum(a**p) * f.spec.cell_volume) ** (1.0 / p))
 
 
@@ -314,8 +278,14 @@ def read_binary(path) -> GridFunction:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise ParameterError(f"{path}: truncated header")
+    payload = len(raw) - _HEADER.size
+    if payload % 8:
+        raise ParameterError(f"{path}: {payload}-byte payload is not whole float64 values")
     dim, points, length = _HEADER.unpack_from(raw)
-    spec = GridSpec(dim, points, length)
+    try:
+        spec = GridSpec(dim, points, length)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: bad header: {exc}") from None
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if body.size != 2 * spec.size:
         raise ParameterError(
@@ -335,17 +305,30 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 def read_csv(path, spec: GridSpec) -> GridFunction:
+    """Read rows (index, re, im); each index 0..size-1 exactly once."""
     values = np.zeros(spec.size, dtype=np.complex128)
     seen = np.zeros(spec.size, dtype=bool)
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+    n_rows = 0
+    # undecodable bytes become U+FFFD and fail the row parse below
+    with open(path, newline="", errors="replace") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0] == "index":
                 continue
-            i = int(row[0])
+            try:
+                i = int(row[0])
+                value = float(row[1]) + 1j * float(row[2])
+            except (IndexError, ValueError):
+                raise ParameterError(
+                    f"{path}: line {reader.line_num}: expected index,re,im, got {row!r}"
+                ) from None
             if not 0 <= i < spec.size:
                 raise ParameterError(f"{path}: index {i} out of range")
-            values[i] = float(row[1]) + 1j * float(row[2])
+            values[i] = value
             seen[i] = True
+            n_rows += 1
     if not seen.all():
         raise ParameterError(f"{path}: missing {int((~seen).sum())} samples")
+    if n_rows != spec.size:
+        raise ParameterError(f"{path}: {n_rows - spec.size} duplicate indices")
     return GridFunction(spec, values)

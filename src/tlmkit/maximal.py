@@ -1,10 +1,11 @@
 """Discrete Hardy-Littlewood maximal operator and vector inequalities.
 
-Mf(x) is the largest average of |f| over the sampled windows containing
-x, computed with the same window geometry as the Morrey scan (cube or
-ball, torus wrap).  Averages divide by the discrete point count of the
-window so that constants are reproduced exactly; the single-point window
-is always included, so Mf >= |f| pointwise.
+Mf(x) is the largest average of |f| over the windows of a
+:class:`WindowSampler` centered at x, the window family the Morrey scan
+uses (cube or ball, torus wrap); every grid point is a center, so the
+sampler's center stride must be 1.  Averages divide by the discrete
+point count of the window so that constants are reproduced exactly; the
+single-point window is always included, so Mf >= |f| pointwise.
 
 The two checks wrap estimates whose constants are not computable
 a priori: the Fefferman-Stein-type vector bound
@@ -16,14 +17,13 @@ and the stability of band sums under re-projection,
     || (sum_{l>=1} |phi_l(D) sum_j phi_j(D) g_j|^r)^(1/r) ||_{M^p_q}
         <= C || (sum_j |g_j|^r)^(1/r) ||_{M^p_q}.
 
-Both report the empirical ratio; verdicts compare against a calibrated
-constant when one is supplied.
+Both report the empirical ratio with verdict "not-decided"; the suites
+gate it against a calibrated constant.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,105 +33,77 @@ from .lpaley import LPFamily, project_all
 from .morrey import (
     LebesguePair,
     WindowSampler,
+    _lr_aggregate,
     _morrey_norm_array,
+    _shared_spec,
     window_count,
     window_sum,
 )
 from .report import VerificationReport, safe_ratio
 
 __all__ = [
-    "MaximalConfig",
     "hl_maximal",
     "vector_maximal_check",
     "projection_stability_check",
     "multiplier_maximal_ratio",
 ]
 
-
-@dataclass(frozen=True)
-class MaximalConfig:
-    """Window family scanned by the maximal operator."""
-
-    radii: tuple
-    window_shape: str = "cube"
-
-    def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        object.__setattr__(self, "radii", radii)
-        if not radii:
-            raise ParameterError("maximal config needs at least one radius")
-        if any(not (r > 0 and np.isfinite(r)) for r in radii):
-            raise ParameterError(f"radii must be positive finite, got {radii}")
-
-    @classmethod
-    def dyadic(cls, spec: GridSpec, window_shape: str = "cube") -> "MaximalConfig":
-        sampler = WindowSampler.dyadic(spec, window_shape)
-        return cls(sampler.radii, window_shape)
-
-    def validate_against(self, spec: GridSpec) -> None:
-        if max(self.radii) > spec.length / 2.0 * (1 + 1e-12):
-            raise ParameterError(
-                f"max radius {max(self.radii):g} exceeds L/2 = {spec.length / 2:g}"
-            )
+# perfbench/workloads.py builds its maximal windows with
+# ``MaximalConfig.dyadic``; the operator scans a plain WindowSampler.
+MaximalConfig = WindowSampler
 
 
-def _maximal_array(modulus: np.ndarray, spec: GridSpec, cfg: MaximalConfig) -> np.ndarray:
-    cfg.validate_against(spec)
+def _maximal_array(modulus: np.ndarray, spec: GridSpec,
+                   sampler: WindowSampler) -> np.ndarray:
+    sampler.validate_against(spec)
+    if sampler.center_stride != 1:
+        raise ParameterError(
+            f"the maximal operator needs every center, got center_stride "
+            f"{sampler.center_stride}"
+        )
     best = modulus.copy()  # the single-point window
-    for radius in cfg.radii:
-        count = window_count(spec, cfg.window_shape, radius)
-        avg = window_sum(spec, modulus, cfg.window_shape, radius) / count
+    for radius in sampler.radii:
+        count = window_count(spec, sampler.window_shape, radius)
+        avg = window_sum(spec, modulus, sampler.window_shape, radius) / count
         np.maximum(best, avg, out=best)
     return best
 
 
-def hl_maximal(f: GridFunction, cfg: MaximalConfig) -> GridFunction:
+def hl_maximal(f: GridFunction, sampler: WindowSampler) -> GridFunction:
     """Pointwise maximal window average of |f| (real-valued output)."""
-    return GridFunction(f.spec, _maximal_array(f.modulus(), f.spec, cfg))
+    return GridFunction(f.spec, _maximal_array(f.modulus(), f.spec, sampler))
 
 
-def _aggregate(stack: np.ndarray, r: float) -> np.ndarray:
-    if np.isinf(r):
-        return stack.max(axis=0)
-    return (stack**r).sum(axis=0) ** (1.0 / r)
+def vector_maximal_check(fs, r: float, pq: LebesguePair,
+                         sampler: WindowSampler) -> VerificationReport:
+    """Empirical ratio of the vector maximal inequality on one tuple.
 
-
-def vector_maximal_check(fs, r: float, pq: LebesguePair, cfg: MaximalConfig,
-                         sampler: WindowSampler, bound: float = None,
-                         margin: float = 1.1) -> VerificationReport:
-    """Empirical ratio of the vector maximal inequality on one tuple."""
+    ``sampler`` is both the maximal operator's window family and the
+    Morrey norm's.
+    """
     t0 = time.perf_counter()
     fs = list(fs)
-    if not fs:
-        raise ParameterError("need at least one function")
-    spec = fs[0].spec
-    if any(f.spec != spec for f in fs):
-        raise ParameterError("functions live on different grids")
+    spec = _shared_spec(fs)
     if not (np.isinf(r) or r > 1.0):
         raise ParameterError(f"need r > 1 or inf, got {r}")
-    moduli = np.stack([f.modulus() for f in fs])
-    maxed = np.stack([_maximal_array(m, spec, cfg) for m in moduli])
-    lhs = _morrey_norm_array(_aggregate(maxed, r), spec, pq, sampler)
-    rhs = _morrey_norm_array(_aggregate(moduli, r), spec, pq, sampler)
+    moduli = [f.modulus() for f in fs]
+    maxed = [_maximal_array(m, spec, sampler) for m in moduli]
+    lhs = _morrey_norm_array(_lr_aggregate(maxed, r), spec, pq, sampler)
+    rhs = _morrey_norm_array(_lr_aggregate(moduli, r), spec, pq, sampler)
     ratio = safe_ratio(lhs, rhs)
-    if bound is None:
-        verdict = "not-decided"
-    else:
-        verdict = "pass" if ratio <= bound * margin else "fail"
     return VerificationReport(
         check="vector-maximal",
         parameters={"p": pq.p, "q": pq.q, "r": r, "n_functions": len(fs),
-                    "window_shape": cfg.window_shape, "points": spec.points},
-        lhs=lhs, rhs=rhs, ratio=ratio, verdict=verdict,
-        empirical_constant=ratio, baseline_constant=bound,
+                    "window_shape": sampler.window_shape, "points": spec.points},
+        lhs=lhs, rhs=rhs, ratio=ratio, verdict="not-decided",
+        empirical_constant=ratio,
         runtime=time.perf_counter() - t0,
     )
 
 
 def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
-                               pq: LebesguePair, sampler: WindowSampler,
-                               bound: float = None,
-                               margin: float = 1.1) -> VerificationReport:
+                               pq: LebesguePair,
+                               sampler: WindowSampler) -> VerificationReport:
     """Empirical ratio for re-projected band sums.
 
     ``gs[i]`` rides band ``start_band + i``; the bands must fit under the
@@ -141,8 +113,7 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
     """
     t0 = time.perf_counter()
     gs = list(gs)
-    if not gs:
-        raise ParameterError("need at least one function")
+    spec = _shared_spec(gs)
     if start_band < 1:
         raise ParameterError(f"start_band must be >= 1, got {start_band}")
     top = start_band + len(gs) - 1
@@ -150,9 +121,6 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
         raise ParameterError(
             f"bands {start_band}..{top} exceed family top band {family.j_max}"
         )
-    spec = gs[0].spec
-    if any(g.spec != spec for g in gs):
-        raise ParameterError("functions live on different grids")
 
     coeffs = sum(
         family.multipliers[start_band + i] * g.coeffs()
@@ -161,27 +129,23 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
     combined = GridFunction(spec, np.fft.ifftn(coeffs, norm="ortho"),
                             spectrum=coeffs)
     reprojected = project_all(family, combined)[1:]
-    lhs_stack = np.stack([b.modulus() for b in reprojected])
-    rhs_stack = np.stack([g.modulus() for g in gs])
-    lhs = _morrey_norm_array(_aggregate(lhs_stack, r), spec, pq, sampler)
-    rhs = _morrey_norm_array(_aggregate(rhs_stack, r), spec, pq, sampler)
+    lhs_stack = [b.modulus() for b in reprojected]
+    rhs_stack = [g.modulus() for g in gs]
+    lhs = _morrey_norm_array(_lr_aggregate(lhs_stack, r), spec, pq, sampler)
+    rhs = _morrey_norm_array(_lr_aggregate(rhs_stack, r), spec, pq, sampler)
     ratio = safe_ratio(lhs, rhs)
-    if bound is None:
-        verdict = "not-decided"
-    else:
-        verdict = "pass" if ratio <= bound * margin else "fail"
     return VerificationReport(
         check="projection-stability",
         parameters={"p": pq.p, "q": pq.q, "r": r, "start_band": start_band,
                     "n_functions": len(gs), "points": spec.points},
-        lhs=lhs, rhs=rhs, ratio=ratio, verdict=verdict,
-        empirical_constant=ratio, baseline_constant=bound,
+        lhs=lhs, rhs=rhs, ratio=ratio, verdict="not-decided",
+        empirical_constant=ratio,
         runtime=time.perf_counter() - t0,
     )
 
 
 def multiplier_maximal_ratio(f: GridFunction, family: LPFamily,
-                             cfg: MaximalConfig) -> float:
+                             sampler: WindowSampler) -> float:
     """max over bands and points of |phi_l(D) f| / Mf.
 
     Finite because the window family includes the full torus, so Mf > 0
@@ -190,7 +154,7 @@ def multiplier_maximal_ratio(f: GridFunction, family: LPFamily,
     modulus = f.modulus()
     if float(modulus.max()) == 0.0:
         return 0.0
-    maximal = _maximal_array(modulus, f.spec, cfg)
+    maximal = _maximal_array(modulus, f.spec, sampler)
     blocks = project_all(family, f)
     worst = 0.0
     for b in blocks:

@@ -200,6 +200,27 @@ def window_sum(spec: GridSpec, values: np.ndarray, window_shape: str,
     return out
 
 
+def _shared_spec(fs: list) -> GridSpec:
+    """The grid of a nonempty list of functions that all live on it."""
+    if not fs:
+        raise ParameterError("need at least one function")
+    spec = fs[0].spec
+    if any(f.spec != spec for f in fs):
+        raise ParameterError("functions live on different grids")
+    return spec
+
+
+def _lr_aggregate(stack, r: float) -> np.ndarray:
+    """Pointwise l^r norm across a nonempty list of same-shape arrays;
+    r = inf takes the pointwise max."""
+    if not r > 0:
+        raise ParameterError(f"r must be positive or inf, got {r}")
+    arr = np.stack(stack)
+    if np.isinf(r):
+        return arr.max(axis=0)
+    return (arr**r).sum(axis=0) ** (1.0 / r)
+
+
 def _strided_max(arr: np.ndarray, stride: int) -> float:
     if stride > 1:
         arr = arr[(slice(None, None, stride),) * arr.ndim]
@@ -235,22 +256,11 @@ def morrey_norm_vector(fs, weights, r: float, pq: LebesguePair,
     pointwise sup over j.  All functions must share one grid.
     """
     fs = list(fs)
-    if not fs:
-        raise ParameterError("need at least one function")
+    spec = _shared_spec(fs)
     weights = np.asarray(list(weights), dtype=np.float64)
     if weights.shape != (len(fs),):
         raise ParameterError(
             f"got {len(fs)} functions but {weights.size} weights"
         )
-    spec = fs[0].spec
-    for f in fs[1:]:
-        if f.spec != spec:
-            raise ParameterError("functions live on different grids")
-    stack = np.stack([np.abs(w) * f.modulus() for w, f in zip(weights, fs)])
-    if np.isinf(r):
-        agg = stack.max(axis=0)
-    else:
-        if r <= 0:
-            raise ParameterError(f"r must be positive or inf, got {r}")
-        agg = (stack**r).sum(axis=0) ** (1.0 / r)
+    agg = _lr_aggregate([np.abs(w) * f.modulus() for w, f in zip(weights, fs)], r)
     return _morrey_norm_array(agg, spec, pq, sampler)

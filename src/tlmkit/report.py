@@ -75,13 +75,28 @@ class VerificationReport:
         }
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float spelled as a string ("inf", "-inf",
+    "nan"): strict JSON has no such numbers."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return "nan" if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def write_json(path, payload: dict) -> None:
-    """Atomic JSON write (temp file + rename), sorted keys."""
+    """Atomic strict-JSON write (temp file + rename), sorted keys.
+
+    Non-finite floats are written as "inf", "-inf" or "nan".
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BandCoverageError, ParameterError
 from .grid import GridFunction, GridSpec
 from .lpaley import LPFamily, project_all, reconstruct
-from .morrey import LebesguePair, WindowSampler, _morrey_norm_array
+from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norm_array
 from .report import VerificationReport, safe_ratio
 
 __all__ = [
@@ -117,20 +117,10 @@ def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> list:
     return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]
 
 
-def _aggregate(stack, r: float) -> np.ndarray:
-    """Pointwise l^r norm across the list of weighted block moduli."""
-    if len(stack) == 0:
-        return None
-    arr = np.stack(stack)
-    if np.isinf(r):
-        return arr.max(axis=0)
-    return (arr**r).sum(axis=0) ** (1.0 / r)
-
-
 def square_function(f: GridFunction, family: LPFamily, r: float, s: float) -> GridFunction:
     """S(f) = (sum_{j>=0} |2^{js} phi_j(D) f|^r)^(1/r), pointwise."""
     ensure_band_covered(family, f)
-    agg = _aggregate(_weighted_blocks(family, f, s), r)
+    agg = _lr_aggregate(_weighted_blocks(family, f, s), r)
     return GridFunction(f.spec, agg)
 
 
@@ -141,7 +131,7 @@ def partial_square_function(f: GridFunction, family: LPFamily, r: float,
         raise ParameterError(f"n_bands {n_bands} outside 0..{family.j_max}")
     ensure_band_covered(family, f)
     weighted = _weighted_blocks(family, f, s)[: n_bands + 1]
-    return GridFunction(f.spec, _aggregate(weighted, r))
+    return GridFunction(f.spec, _lr_aggregate(weighted, r))
 
 
 def truncated_square_function(f: GridFunction, family: LPFamily,
@@ -154,13 +144,13 @@ def truncated_square_function(f: GridFunction, family: LPFamily,
     """
     ensure_band_covered(family, f)
     weighted = _weighted_blocks(family, f, cfg.s)
-    full = _aggregate(weighted, cfg.r)
+    full = _lr_aggregate(weighted, cfg.r)
     gate = (full >= cfg.cutoff) & (full <= 1.0 / cfg.cutoff)
     tail_stack = weighted[cfg.start_band:]
     if not tail_stack:
         tail = np.zeros(f.spec.shape)
     else:
-        tail = _aggregate(tail_stack, cfg.r)
+        tail = _lr_aggregate(tail_stack, cfg.r)
     return GridFunction(f.spec, np.where(gate, tail, 0.0))
 
 
@@ -170,9 +160,9 @@ def tlm_norm(f: GridFunction, family: LPFamily, params: SpaceParams,
     ensure_band_covered(family, f)
     weighted = _weighted_blocks(family, f, params.s)
     low = _morrey_norm_array(weighted[0], f.spec, params.pair, sampler)
-    tail = _aggregate(weighted[1:], params.r)
-    if tail is None:
+    if len(weighted) == 1:
         return low
+    tail = _lr_aggregate(weighted[1:], params.r)
     return low + _morrey_norm_array(tail, f.spec, params.pair, sampler)
 
 

@@ -39,7 +39,6 @@ from .interp import (
 )
 from .lpaley import build_family, partition_residual, project
 from .maximal import (
-    MaximalConfig,
     multiplier_maximal_ratio,
     projection_stability_check,
     vector_maximal_check,
@@ -77,6 +76,9 @@ __all__ = [
     "run_diamond_suite",
     "verify_all",
     "calibrate_constants",
+    "reconstruction_report",
+    "anchor_report",
+    "holomorphy_report",
 ]
 
 REGRESSION_MARGIN = 1.1  # baseline regression gate: within 10%
@@ -153,17 +155,84 @@ def _fmt(x) -> str:
     return f"{float(x):g}"
 
 
-def _gate_constant(check_id: str, value: float, baseline, stable: bool,
-                   two_sided: bool = True) -> tuple:
-    """(verdict, baseline_value) for an empirical constant."""
+# ------------------------------------------------------------------- gating
+
+def _bound_report(check_id: str, parameters: dict, lhs: float, rhs: float,
+                  t0: float, ok: bool = True, **fields) -> VerificationReport:
+    """Report of an exact inequality with a pinned tolerance: "pass" iff
+    lhs <= rhs and the check's own condition ``ok`` holds."""
+    return VerificationReport(
+        check=check_id, parameters=parameters, lhs=lhs, rhs=rhs,
+        ratio=safe_ratio(lhs, rhs), verdict="pass" if (lhs <= rhs and ok) else "fail",
+        runtime=time.perf_counter() - t0, **fields,
+    )
+
+
+def _gated_report(check_id: str, value: float, baseline, stable: bool,
+                  t0: float = None, two_sided: bool = True,
+                  measured: VerificationReport = None,
+                  **fields) -> VerificationReport:
+    """Report of the empirical constant ``value`` gated against the baseline.
+
+    Without a baseline constant the verdict is "pass" when the stability
+    probe holds and "not-decided" otherwise; with one, the value must also
+    lie within the regression margin (above it only when one-sided).
+    ``measured``, a check's own report, is renamed and gated with its
+    sides kept; otherwise the report compares ``value`` with the baseline
+    constant (with itself when there is none) and ``fields`` fill in the
+    parameters and details.
+    """
     base = baseline.maybe(check_id) if baseline is not None else None
     if base is None:
-        return ("pass" if stable else "not-decided"), None
-    if two_sided:
-        ok = base / REGRESSION_MARGIN <= value <= base * REGRESSION_MARGIN
+        verdict = "pass" if stable else "not-decided"
     else:
-        ok = value <= base * REGRESSION_MARGIN
-    return ("pass" if (ok and stable) else "fail"), float(base)
+        base = float(base)
+        if two_sided:
+            ok = base / REGRESSION_MARGIN <= value <= base * REGRESSION_MARGIN
+        else:
+            ok = value <= base * REGRESSION_MARGIN
+        verdict = "pass" if (ok and stable) else "fail"
+    if measured is not None:
+        return replace(measured, check=check_id, verdict=verdict, baseline_constant=base)
+    ref = value if base is None else base
+    return VerificationReport(
+        check=check_id, lhs=value, rhs=ref, ratio=safe_ratio(value, ref),
+        verdict=verdict, empirical_constant=value, baseline_constant=base,
+        runtime=time.perf_counter() - t0, **fields,
+    )
+
+
+def _drift_report(check_id: str, consts, baseline, t0: float,
+                  parameters: dict) -> VerificationReport:
+    """One-sided gate of the fine-grid constant of ``consts`` = (coarse,
+    fine); the stability probe is its drift from the coarse-grid one."""
+    coarse, fine = consts
+    drift = abs(safe_ratio(coarse, fine) - 1.0)
+    return _gated_report(
+        check_id, fine, baseline, drift <= RESOLUTION_MARGIN and fine > 0, t0,
+        two_sided=False, parameters=parameters,
+        details={"coarse_constant": coarse, "drift": drift},
+    )
+
+
+def _range_report(check_id: str, ratios, baseline, t0: float,
+                  parameters: dict) -> VerificationReport:
+    """Gate the range [lo, hi] of ``ratios`` against the baseline range
+    (keys ``<check_id>.lo`` and ``.hi``), widened by the regression margin."""
+    lo, hi = float(min(ratios)), float(max(ratios))
+    base_lo = baseline.maybe(f"{check_id}.lo") if baseline else None
+    base_hi = baseline.maybe(f"{check_id}.hi") if baseline else None
+    if base_lo is None or base_hi is None:
+        verdict = "not-decided"
+    else:
+        ok = lo >= base_lo / REGRESSION_MARGIN and hi <= base_hi * REGRESSION_MARGIN
+        verdict = "pass" if ok else "fail"
+    return VerificationReport(
+        check=check_id, parameters=parameters,
+        lhs=hi, rhs=lo, ratio=safe_ratio(hi, lo), verdict=verdict,
+        runtime=time.perf_counter() - t0,
+        details={"lo": lo, "hi": hi, "baseline_lo": base_lo, "baseline_hi": base_hi},
+    )
 
 
 # ----------------------------------------------------------------- partition
@@ -180,13 +249,10 @@ def run_partition_suite(cfg: SuiteConfig, tol: float = 1e-12) -> list:
             t0 = time.perf_counter()
             family = build_family(spec, j_max, flavor)
             residual = partition_residual(family)
-            reports.append(VerificationReport(
-                check=f"partition[{flavor},{spec.dim}d]",
-                parameters={"points": spec.points, "dim": spec.dim, "j_max": j_max},
-                lhs=residual, rhs=tol, ratio=safe_ratio(residual, tol),
-                verdict="pass" if residual <= tol else "fail",
-                runtime=time.perf_counter() - t0,
-            ))
+            reports.append(_bound_report(
+                f"partition[{flavor},{spec.dim}d]",
+                {"points": spec.points, "dim": spec.dim, "j_max": j_max},
+                residual, tol, t0))
     return reports
 
 
@@ -213,13 +279,9 @@ def run_morrey_suite(cfg: SuiteConfig, collapse_tol: float = 1e-10,
                 want = lp_norm(f, p)
                 worst = max(worst, abs(got - want) / want)
                 n_checked += 1
-    reports.append(VerificationReport(
-        check="morrey-collapse",
-        parameters={"n_checked": n_checked, "exponents": [2.0, 2.7, 4.0]},
-        lhs=worst, rhs=collapse_tol, ratio=safe_ratio(worst, collapse_tol),
-        verdict="pass" if worst <= collapse_tol else "fail",
-        runtime=time.perf_counter() - t0,
-    ))
+    reports.append(_bound_report(
+        "morrey-collapse", {"n_checked": n_checked, "exponents": [2.0, 2.7, 4.0]},
+        worst, collapse_tol, t0))
 
     # ball-window norm of the unit-interval indicator against the closed form
     t0 = time.perf_counter()
@@ -237,14 +299,10 @@ def run_morrey_suite(cfg: SuiteConfig, collapse_tol: float = 1e-10,
     target = 2.0**0.25
     rel_err = abs(values[-1] - target) / target
     monotone = values[0] <= values[1] * (1 + 1e-14) and values[1] <= values[2] * (1 + 1e-14)
-    reports.append(VerificationReport(
-        check="morrey-oracle",
-        parameters={"p": 4.0, "q": 2.0, "target": target},
-        lhs=rel_err, rhs=oracle_tol, ratio=safe_ratio(rel_err, oracle_tol),
-        verdict="pass" if (rel_err <= oracle_tol and monotone) else "fail",
-        runtime=time.perf_counter() - t0,
-        details={"values": values, "monotone": monotone},
-    ))
+    reports.append(_bound_report(
+        "morrey-oracle", {"p": 4.0, "q": 2.0, "target": target},
+        rel_err, oracle_tol, t0, ok=monotone,
+        details={"values": values, "monotone": monotone}))
     return reports
 
 
@@ -324,22 +382,23 @@ _EXP_LOG_CASES = ((0.1 + 0j, 0.5), (0.01 + 0j, 0.5), (0.001 + 0j, 0.25),
                   (0.05j, 0.5))
 
 
+def _gated_scalar(check_id: str, rep: VerificationReport, baseline) -> VerificationReport:
+    """Gate a scalar check whose own verdict is its grid-refinement probe."""
+    return _gated_report(check_id, rep.empirical_constant, baseline,
+                         rep.verdict == "pass", measured=rep)
+
+
 def run_scalar_empirical_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
-    reports = []
-    for z, r in _LOG_COMPLEX_CASES:
-        rep = log_damping_complex_check(z, r)
-        check_id = f"log-complex[z={z},r={_fmt(r)}]"
-        verdict, base = _gate_constant(check_id, rep.empirical_constant,
-                                       baseline, rep.verdict == "pass")
-        reports.append(replace(rep, check=check_id, verdict=verdict,
-                               baseline_constant=base))
-    for t, r in _LOG_IMAG_CASES:
-        rep = log_damping_imag_check(t, r)
-        check_id = f"log-imag[t={_fmt(t)},r={_fmt(r)}]"
-        verdict, base = _gate_constant(check_id, rep.empirical_constant,
-                                       baseline, rep.verdict == "pass")
-        reports.append(replace(rep, check=check_id, verdict=verdict,
-                               baseline_constant=base))
+    reports = [
+        _gated_scalar(f"log-complex[z={z},r={_fmt(r)}]",
+                      log_damping_complex_check(z, r), baseline)
+        for z, r in _LOG_COMPLEX_CASES
+    ]
+    reports += [
+        _gated_scalar(f"log-imag[t={_fmt(t)},r={_fmt(r)}]",
+                      log_damping_imag_check(t, r), baseline)
+        for t, r in _LOG_IMAG_CASES
+    ]
 
     rng = np.random.default_rng(cfg.seed + 11)
     for kappa, r in _PHI_SUM_CASES:
@@ -363,26 +422,18 @@ def run_scalar_empirical_suite(cfg: SuiteConfig, baseline: BaselineStore = None)
 
         c1 = worst_ratio(500)
         c2 = max(c1, worst_ratio(500))  # doubled corpus includes the first half
-        stable = abs(c2 - c1) <= 0.1 * c2
-        check_id = f"phi-sum[k={_fmt(kappa)},r={_fmt(r)}]"
-        verdict, base = _gate_constant(check_id, c2, baseline, stable)
-        reports.append(VerificationReport(
-            check=check_id,
+        reports.append(_gated_report(
+            f"phi-sum[k={_fmt(kappa)},r={_fmt(r)}]", c2, baseline,
+            abs(c2 - c1) <= 0.1 * c2, t0,
             parameters={"kappa": kappa, "r": r, "n_samples": 1000},
-            lhs=c2, rhs=base if base is not None else c2,
-            ratio=safe_ratio(c2, base if base is not None else c2),
-            verdict=verdict, empirical_constant=c2, baseline_constant=base,
-            runtime=time.perf_counter() - t0,
             details={"half_corpus_constant": c1},
         ))
 
-    for h, eps in _EXP_LOG_CASES:
-        rep = exp_log_bound_check(h, eps)
-        check_id = f"exp-log[h={h},eps={_fmt(eps)}]"
-        verdict, base = _gate_constant(check_id, rep.empirical_constant,
-                                       baseline, rep.verdict == "pass")
-        reports.append(replace(rep, check=check_id, verdict=verdict,
-                               baseline_constant=base))
+    reports += [
+        _gated_scalar(f"exp-log[h={h},eps={_fmt(eps)}]",
+                      exp_log_bound_check(h, eps), baseline)
+        for h, eps in _EXP_LOG_CASES
+    ]
     return reports
 
 
@@ -416,13 +467,9 @@ def run_holder_suite(cfg: SuiteConfig, slack: float = 1e-6) -> list:
                 exact = False
             if np.any(live):
                 worst = max(worst, float((s_mid[live] / bound[live]).max()))
-    reports.append(VerificationReport(
-        check="square-holder",
-        parameters={"n_functions": 20, "n_setups": len(HOLDER_SETUPS)},
-        lhs=worst, rhs=1.0 + 1e-12, ratio=worst / (1.0 + 1e-12),
-        verdict="pass" if (worst <= 1.0 + 1e-12 and exact) else "fail",
-        runtime=time.perf_counter() - t0,
-    ))
+    reports.append(_bound_report(
+        "square-holder", {"n_functions": 20, "n_setups": len(HOLDER_SETUPS)},
+        worst, 1.0 + 1e-12, t0, ok=exact))
     return reports
 
 
@@ -435,6 +482,36 @@ def _collapse_setup():
 def _general_setup():
     return make_setup(0.4, SpaceParams(8.0, 4.0, 2.5, 0.5),
                       SpaceParams(4.0, 2.0, 2.0, 0.0))
+
+
+def reconstruction_report(fams) -> VerificationReport:
+    """Worst relative defect ||F(theta) - f|| / ||f|| over analytic families."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    for fam in fams:
+        scale = max(float(np.linalg.norm(fam.base.values.ravel())), 1e-300)
+        mid = family_F(fam, fam.setup.theta)
+        worst = max(worst, float(np.linalg.norm((mid - fam.base).values.ravel())) / scale)
+    return _bound_report("reconstruction",
+                         {"n_functions": len(fams), "kind": fams[0].kind},
+                         worst, 1e-10, t0)
+
+
+def anchor_report(fams) -> VerificationReport:
+    """G(theta) must vanish exactly for every analytic family."""
+    t0 = time.perf_counter()
+    worst = max(float(np.linalg.norm(family_G(fam, fam.setup.theta).values.ravel()))
+                for fam in fams)
+    return _bound_report("contour-anchor", {"n_functions": len(fams)}, worst, 0.0, t0)
+
+
+def holomorphy_report(fam, seed: int) -> VerificationReport:
+    """Cauchy-Riemann residual of G at theta + 0.1 + 0.2i, 20 probes."""
+    t0 = time.perf_counter()
+    residual = holomorphy_residual(fam, fam.setup.theta + 0.1 + 0.2j,
+                                   n_probes=20, seed=seed)
+    return _bound_report("holomorphy", {"n_probes": 20, "step": 2e-4},
+                         residual, 1e-6, t0)
 
 
 def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
@@ -454,29 +531,25 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
                             n_nodes=2 * cfg.quad_nodes, check=False)
     scale = float(np.linalg.norm(fine.values.ravel()))
     gap = float(np.linalg.norm((fine - coarse).values.ravel())) / max(scale, 1e-300)
-    reports.append(VerificationReport(
-        check="contour-quadrature",
-        parameters={"nodes": cfg.quad_nodes, "segment": "theta -> 1+0.75j"},
-        lhs=gap, rhs=1e-9, ratio=safe_ratio(gap, 1e-9),
-        verdict="pass" if gap <= 1e-9 else "fail",
-        runtime=time.perf_counter() - t0,
-    ))
+    reports.append(_bound_report(
+        "contour-quadrature", {"nodes": cfg.quad_nodes, "segment": "theta -> 1+0.75j"},
+        gap, 1e-9, t0))
 
     # reconstruction at the midpoint, anchor value, derivative order
+    fams = [
+        build_analytic_family(
+            "exponent-shift", setup,
+            random_bandlimited(spec, _probe_band(spec), cfg.seed + 50 + i,
+                               real_output=(i % 2 == 0)),
+            squared, sampler)
+        for i in range(5)
+    ]
+    reports += [reconstruction_report(fams), anchor_report(fams)]
     t0 = time.perf_counter()
-    recon_worst = 0.0
-    anchor_worst = 0.0
     orders = []
-    for i in range(5):
-        f = random_bandlimited(spec, _probe_band(spec), cfg.seed + 50 + i,
-                               real_output=(i % 2 == 0))
-        fam = build_analytic_family("exponent-shift", setup, f, squared, sampler)
+    for fam in fams:
         base_scale = float(np.linalg.norm(fam.base.values.ravel()))
         mid = family_F(fam, setup.theta)
-        recon_worst = max(recon_worst, float(
-            np.linalg.norm((mid - fam.base).values.ravel())) / base_scale)
-        anchor_worst = max(anchor_worst, float(
-            np.linalg.norm(family_G(fam, setup.theta).values.ravel())))
         errs = []
         for h in (1e-3, 1e-4):
             plus = family_G(fam, setup.theta + h, check=False)
@@ -484,43 +557,20 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
             deriv = (plus - minus) * (1.0 / (2.0 * h))
             errs.append(float(np.linalg.norm((deriv - mid).values.ravel())) / base_scale)
         orders.append(np.log10(errs[0] / errs[1]))
-    reports.append(VerificationReport(
-        check="reconstruction",
-        parameters={"n_functions": 5, "kind": "exponent-shift"},
-        lhs=recon_worst, rhs=1e-10, ratio=safe_ratio(recon_worst, 1e-10),
-        verdict="pass" if recon_worst <= 1e-10 else "fail",
-        runtime=time.perf_counter() - t0,
-    ))
-    reports.append(VerificationReport(
-        check="contour-anchor",
-        parameters={"n_functions": 5},
-        lhs=anchor_worst, rhs=0.0, ratio=safe_ratio(anchor_worst, 0.0),
-        verdict="pass" if anchor_worst == 0.0 else "fail",
-        runtime=0.0,
-    ))
     min_order = float(min(orders))
     reports.append(VerificationReport(
         check="derivative-order",
         parameters={"steps": [1e-3, 1e-4], "n_functions": 5},
         lhs=min_order, rhs=1.9, ratio=safe_ratio(min_order, 1.9),
         verdict="pass" if min_order >= 1.9 else "fail",
-        runtime=0.0,
+        runtime=time.perf_counter() - t0,
         details={"orders": orders},
     ))
 
     # holomorphy probe and the four-exponent collapse identity
-    t0 = time.perf_counter()
     f = random_bandlimited(spec, _probe_band(spec), cfg.seed + 60)
     fam = build_analytic_family("exponent-shift", setup, f, squared, sampler)
-    residual = holomorphy_residual(fam, setup.theta + 0.1 + 0.2j,
-                                   n_probes=20, seed=cfg.seed + 61)
-    reports.append(VerificationReport(
-        check="holomorphy",
-        parameters={"n_probes": 20, "step": 2e-4},
-        lhs=residual, rhs=1e-6, ratio=safe_ratio(residual, 1e-6),
-        verdict="pass" if residual <= 1e-6 else "fail",
-        runtime=time.perf_counter() - t0,
-    ))
+    reports.append(holomorphy_report(fam, cfg.seed + 61))
 
     t0 = time.perf_counter()
     fam4 = build_analytic_family("four-exponent", setup, f, squared, sampler)
@@ -530,13 +580,8 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
         b = family_F(fam4, z).values
         scale = max(float(np.abs(a).max()), 1e-300)
         collapse_worst = max(collapse_worst, float(np.abs(a - b).max()) / scale)
-    reports.append(VerificationReport(
-        check="rho-collapse",
-        parameters={"n_points": 5},
-        lhs=collapse_worst, rhs=1e-12, ratio=safe_ratio(collapse_worst, 1e-12),
-        verdict="pass" if collapse_worst <= 1e-12 else "fail",
-        runtime=time.perf_counter() - t0,
-    ))
+    reports.append(_bound_report("rho-collapse", {"n_points": 5},
+                                 collapse_worst, 1e-12, t0))
 
     # boundary Lipschitz ratios, both sides, aggregated over a corpus
     t_values = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
@@ -544,65 +589,40 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     corpus = _corpus(cfg, spec, 20, tag=4, max_band=4)
     for side in (0, 1):
         t0 = time.perf_counter()
-        worst = 0.0
-        spread_worst = 0.0
-        for f in corpus:
-            fam_f = build_analytic_family("exponent-shift", setup, f, squared, sampler)
-            rep = boundary_lipschitz_check(fam_f, side, pairs, sampler,
-                                           n_nodes=cfg.quad_nodes)
-            worst = max(worst, rep.empirical_constant)
-            spread_worst = max(spread_worst, rep.details["spread"])
-        check_id = f"lipschitz[side={side}]"
-        verdict, base = _gate_constant(check_id, worst, baseline,
-                                       spread_worst <= 3.0, two_sided=False)
-        reports.append(VerificationReport(
-            check=check_id,
-            parameters={"side": side, "n_functions": len(corpus),
-                        "n_pairs": len(pairs)},
-            lhs=worst, rhs=base if base is not None else worst,
-            ratio=safe_ratio(worst, base if base is not None else worst),
-            verdict=verdict, empirical_constant=worst, baseline_constant=base,
-            runtime=time.perf_counter() - t0,
-            details={"spread": spread_worst, "spread_limit": 3.0},
+        checks = [
+            boundary_lipschitz_check(
+                build_analytic_family("exponent-shift", setup, f, squared, sampler),
+                side, pairs, sampler, n_nodes=cfg.quad_nodes)
+            for f in corpus
+        ]
+        spread = max(rep.details["spread"] for rep in checks)
+        reports.append(_gated_report(
+            f"lipschitz[side={side}]", max(rep.empirical_constant for rep in checks),
+            baseline, spread <= 3.0, t0, two_sided=False,
+            parameters={"side": side, "n_functions": len(corpus), "n_pairs": len(pairs)},
+            details={"spread": spread, "spread_limit": 3.0},
         ))
 
     # growth of the primitive across the strip, sum-space proxy
-    t0 = time.perf_counter()
     f = random_bandlimited(spec, _probe_band(spec), cfg.seed + 70)
     fam = build_analytic_family("exponent-shift", setup, f, squared, sampler)
     zs = [setup.theta + 1j * t for t in (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0)]
     zs += [0.0 + 4j, 1.0 + 4j, 0.0 - 1j, 1.0 + 0.5j]
     rep = global_growth_check(fam, zs, sampler, n_nodes=cfg.quad_nodes)
-    verdict, base = _gate_constant("global-growth", rep.empirical_constant,
-                                   baseline, True, two_sided=False)
-    reports.append(replace(rep, check="global-growth", verdict=verdict,
-                           baseline_constant=base,
-                           runtime=time.perf_counter() - t0))
+    reports.append(_gated_report("global-growth", rep.empirical_constant, baseline,
+                                 True, two_sided=False, measured=rep))
 
     # identity collapse: smoothness-0, r = 2 norm against the plain Morrey norm
     t0 = time.perf_counter()
     plain = build_family(spec, cfg.j_max, "plain")
     params = SpaceParams(4.0, 2.0, 2.0, 0.0)
-    ratios = []
-    for f in _corpus(cfg, spec, 20, tag=5):
-        n_tlm = tlm_norm(f, plain, params, sampler)
-        n_mor = morrey_norm(f, params.pair, sampler)
-        ratios.append(safe_ratio(n_tlm, n_mor))
-    lo, hi = float(min(ratios)), float(max(ratios))
-    base_lo = baseline.maybe("identity-collapse.lo") if baseline else None
-    base_hi = baseline.maybe("identity-collapse.hi") if baseline else None
-    if base_lo is None or base_hi is None:
-        verdict = "not-decided"
-    else:
-        ok = lo >= base_lo / REGRESSION_MARGIN and hi <= base_hi * REGRESSION_MARGIN
-        verdict = "pass" if ok else "fail"
-    reports.append(VerificationReport(
-        check="identity-collapse",
-        parameters={"p": 4.0, "q": 2.0, "n_functions": 20},
-        lhs=hi, rhs=lo, ratio=safe_ratio(hi, lo), verdict=verdict,
-        runtime=time.perf_counter() - t0,
-        details={"lo": lo, "hi": hi, "baseline_lo": base_lo, "baseline_hi": base_hi},
-    ))
+    ratios = [
+        safe_ratio(tlm_norm(f, plain, params, sampler),
+                   morrey_norm(f, params.pair, sampler))
+        for f in _corpus(cfg, spec, 20, tag=5)
+    ]
+    reports.append(_range_report("identity-collapse", ratios, baseline, t0,
+                                 {"p": 4.0, "q": 2.0, "n_functions": 20}))
     return reports
 
 
@@ -615,9 +635,7 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     reports = []
     coarse = GridSpec(1, cfg.points // 2, cfg.length)
     fine = GridSpec(1, cfg.points, cfg.length)
-    radii = WindowSampler.dyadic(coarse, cfg.window_shape).radii
-    sampler = WindowSampler(radii, 1, cfg.window_shape)
-    mcfg = MaximalConfig(radii, cfg.window_shape)
+    sampler = WindowSampler.dyadic(coarse, cfg.window_shape)  # same windows on both grids
     max_band = int(np.log2(coarse.nyquist)) - 2
 
     n_tuples, tuple_size = 5, 6
@@ -634,34 +652,16 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     for p, q, r in _MAXIMAL_COMBOS:
         pq = LebesguePair(p, q)
         t0 = time.perf_counter()
-        consts = {}
-        for label, tuples in (("coarse", tuples_coarse), ("fine", tuples_fine)):
-            consts[label] = max(
-                vector_maximal_check(tup, r, pq, mcfg, sampler).ratio
-                for tup in tuples
-            )
-        drift = abs(safe_ratio(consts["coarse"], consts["fine"]) - 1.0)
-        stable = drift <= RESOLUTION_MARGIN and consts["fine"] > 0
-        check_id = f"vector-maximal[p={_fmt(p)},q={_fmt(q)},r={_fmt(r)}]"
-        verdict, base = _gate_constant(check_id, consts["fine"], baseline,
-                                       stable, two_sided=False)
-        reports.append(VerificationReport(
-            check=check_id,
-            parameters={"p": p, "q": q, "r": "inf" if np.isinf(r) else r,
-                        "coarse_points": coarse.points, "fine_points": fine.points},
-            lhs=consts["fine"], rhs=base if base is not None else consts["fine"],
-            ratio=safe_ratio(consts["fine"], base if base is not None else consts["fine"]),
-            verdict=verdict, empirical_constant=consts["fine"],
-            baseline_constant=base,
-            runtime=time.perf_counter() - t0,
-            details={"coarse_constant": consts["coarse"], "drift": drift},
+        consts = [max(vector_maximal_check(tup, r, pq, sampler).ratio for tup in tuples)
+                  for tuples in (tuples_coarse, tuples_fine)]
+        reports.append(_drift_report(
+            f"vector-maximal[p={_fmt(p)},q={_fmt(q)},r={_fmt(r)}]", consts, baseline, t0,
+            {"p": p, "q": q, "r": r,
+             "coarse_points": coarse.points, "fine_points": fine.points},
         ))
 
     j_band = min(5, int(np.log2(coarse.nyquist)) - 1)
-    fams = {
-        "coarse": build_family(coarse, j_band, "plain"),
-        "fine": build_family(fine, j_band, "plain"),
-    }
+    fams = (build_family(coarse, j_band, "plain"), build_family(fine, j_band, "plain"))
     start_band = 2
     n_bands = j_band - start_band + 1
     # each slot must genuinely load the band it is reprojected from, so
@@ -673,61 +673,35 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
         for i in range(n_bands):
             rng = np.random.default_rng(cfg.seed + 4000 + 100 * t + i)
             noise = GridFunction(coarse, rng.standard_normal(coarse.shape))
-            tup.append(project(fams["coarse"], start_band + i, noise))
+            tup.append(project(fams[0], start_band + i, noise))
         band_tuples_coarse.append(tup)
     band_tuples_fine = [[refine(g, 2) for g in tup] for tup in band_tuples_coarse]
 
     for p, q, r in _MAXIMAL_COMBOS:
         pq = LebesguePair(p, q)
         t0 = time.perf_counter()
-        consts = {}
-        for label, tuples, fam in (("coarse", band_tuples_coarse, fams["coarse"]),
-                                   ("fine", band_tuples_fine, fams["fine"])):
-            consts[label] = max(
-                projection_stability_check(tup, fam, start_band, r, pq, sampler).ratio
-                for tup in tuples
-            )
-        drift = abs(safe_ratio(consts["coarse"], consts["fine"]) - 1.0)
-        stable = drift <= RESOLUTION_MARGIN and consts["fine"] > 0
-        check_id = f"projection-stability[p={_fmt(p)},q={_fmt(q)},r={_fmt(r)}]"
-        verdict, base = _gate_constant(check_id, consts["fine"], baseline,
-                                       stable, two_sided=False)
-        reports.append(VerificationReport(
-            check=check_id,
-            parameters={"p": p, "q": q, "r": "inf" if np.isinf(r) else r,
-                        "start_band": start_band, "n_bands": n_bands},
-            lhs=consts["fine"], rhs=base if base is not None else consts["fine"],
-            ratio=safe_ratio(consts["fine"], base if base is not None else consts["fine"]),
-            verdict=verdict, empirical_constant=consts["fine"],
-            baseline_constant=base,
-            runtime=time.perf_counter() - t0,
-            details={"coarse_constant": consts["coarse"], "drift": drift},
+        consts = [
+            max(projection_stability_check(tup, fam, start_band, r, pq, sampler).ratio
+                for tup in tuples)
+            for tuples, fam in zip((band_tuples_coarse, band_tuples_fine), fams)
+        ]
+        reports.append(_drift_report(
+            f"projection-stability[p={_fmt(p)},q={_fmt(q)},r={_fmt(r)}]",
+            consts, baseline, t0,
+            {"p": p, "q": q, "r": r,
+             "start_band": start_band, "n_bands": n_bands},
         ))
 
     # pointwise multiplier-vs-maximal domination constant
     t0 = time.perf_counter()
-    consts = {}
-    for label, spec_r, fam in (("coarse", coarse, fams["coarse"]),
-                               ("fine", fine, fams["fine"])):
-        worst = 0.0
-        for i in range(8):
-            f = random_bandlimited(spec_r, min(3, max_band), cfg.seed + 5000 + i,
-                                   real_output=(i % 2 == 0))
-            worst = max(worst, multiplier_maximal_ratio(f, fam, mcfg))
-        consts[label] = worst
-    drift = abs(safe_ratio(consts["coarse"], consts["fine"]) - 1.0)
-    verdict, base = _gate_constant("multiplier-bound", consts["fine"], baseline,
-                                   drift <= RESOLUTION_MARGIN and consts["fine"] > 0,
-                                   two_sided=False)
-    reports.append(VerificationReport(
-        check="multiplier-bound",
-        parameters={"n_functions": 8, "j_max": j_band},
-        lhs=consts["fine"], rhs=base if base is not None else consts["fine"],
-        ratio=safe_ratio(consts["fine"], base if base is not None else consts["fine"]),
-        verdict=verdict, empirical_constant=consts["fine"], baseline_constant=base,
-        runtime=time.perf_counter() - t0,
-        details={"coarse_constant": consts["coarse"], "drift": drift},
-    ))
+    consts = []
+    for spec_r, fam in zip((coarse, fine), fams):
+        fs = [random_bandlimited(spec_r, min(3, max_band), cfg.seed + 5000 + i,
+                                 real_output=(i % 2 == 0))
+              for i in range(8)]
+        consts.append(max(multiplier_maximal_ratio(f, fam, sampler) for f in fs))
+    reports.append(_drift_report("multiplier-bound", consts, baseline, t0,
+                                 {"n_functions": 8, "j_max": j_band}))
     return reports
 
 
@@ -750,16 +724,12 @@ def run_diamond_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     gated_zero = all(v == 0.0 for seq in rep.details["norm_sequences"].values()
                      for v in seq[band + 1:])
     ok = rep.verdict == "pass" and tail == 0.0 and gated_zero
-    reports.append(VerificationReport(
-        check="diamond-bandlimited",
-        parameters={"band": band, "p": params.p, "q": params.q,
-                    "r": params.r, "s": params.s},
-        lhs=tail, rhs=1e-12 * scale, ratio=safe_ratio(tail, 1e-12 * scale),
-        verdict="pass" if ok else "fail",
-        runtime=time.perf_counter() - t0,
+    reports.append(_bound_report(
+        "diamond-bandlimited",
+        {"band": band, "p": params.p, "q": params.q, "r": params.r, "s": params.s},
+        tail, 1e-12 * scale, t0, ok=ok,
         details={"criterion_verdict": rep.verdict,
-                 "norm_sequences": rep.details["norm_sequences"]},
-    ))
+                 "norm_sequences": rep.details["norm_sequences"]}))
 
     t0 = time.perf_counter()
     g = persistent_block_function(spec, family, s=params.s)
@@ -767,38 +737,21 @@ def run_diamond_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     seq = rep.details["norm_sequences"]
     persists = all(vals[-1] > 0.1 * vals[0] for vals in seq.values() if vals[0] > 0)
     ok = rep.verdict == "not-decided" and persists
-    reports.append(VerificationReport(
-        check="diamond-persistent",
-        parameters={"p": params.p, "q": params.q, "r": params.r, "s": params.s},
-        lhs=1.0 if ok else 0.0, rhs=1.0, ratio=1.0 if ok else 0.0,
-        verdict="pass" if ok else "fail",
-        runtime=time.perf_counter() - t0,
-        details={"criterion_verdict": rep.verdict, "norm_sequences": seq},
-    ))
+    reports.append(_bound_report(
+        "diamond-persistent", {"p": params.p, "q": params.q, "r": params.r, "s": params.s},
+        1.0 if ok else 0.0, 1.0, t0, ok=ok,
+        details={"criterion_verdict": rep.verdict, "norm_sequences": seq}))
 
     # profile robustness: two admissible profiles give equivalent norms
     t0 = time.perf_counter()
     alt_family = build_family(spec, cfg.j_max, "plain", sharpness=2.0)
-    ratios = []
-    for f in _corpus(cfg, spec, 15, tag=6):
-        a = tlm_norm(f, family, params, sampler)
-        b = tlm_norm(f, alt_family, params, sampler)
-        ratios.append(safe_ratio(a, b))
-    lo, hi = float(min(ratios)), float(max(ratios))
-    base_lo = baseline.maybe("profile-equivalence.lo") if baseline else None
-    base_hi = baseline.maybe("profile-equivalence.hi") if baseline else None
-    if base_lo is None or base_hi is None:
-        verdict = "not-decided"
-    else:
-        ok = lo >= base_lo / REGRESSION_MARGIN and hi <= base_hi * REGRESSION_MARGIN
-        verdict = "pass" if ok else "fail"
-    reports.append(VerificationReport(
-        check="profile-equivalence",
-        parameters={"sharpness_pair": [1.0, 2.0], "n_functions": 15},
-        lhs=hi, rhs=lo, ratio=safe_ratio(hi, lo), verdict=verdict,
-        runtime=time.perf_counter() - t0,
-        details={"lo": lo, "hi": hi, "baseline_lo": base_lo, "baseline_hi": base_hi},
-    ))
+    ratios = [
+        safe_ratio(tlm_norm(f, family, params, sampler),
+                   tlm_norm(f, alt_family, params, sampler))
+        for f in _corpus(cfg, spec, 15, tag=6)
+    ]
+    reports.append(_range_report("profile-equivalence", ratios, baseline, t0,
+                                 {"sharpness_pair": [1.0, 2.0], "n_functions": 15}))
     return reports
 
 
@@ -818,22 +771,17 @@ def verify_all(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
 
 
 def calibrate_constants(cfg: SuiteConfig) -> BaselineStore:
-    """Measure every empirical constant on the seeded corpus."""
+    """Measure every empirical constant on the seeded corpus: each gated
+    report's constant, and both ends of each range-gated report."""
     constants = {}
-    for rep in run_scalar_empirical_suite(cfg, None):
-        constants[rep.check] = rep.empirical_constant
-    for rep in run_interp_suite(cfg, None):
-        if rep.check in ("lipschitz[side=0]", "lipschitz[side=1]", "global-growth"):
-            constants[rep.check] = rep.empirical_constant
-        elif rep.check == "identity-collapse":
-            constants["identity-collapse.lo"] = rep.details["lo"]
-            constants["identity-collapse.hi"] = rep.details["hi"]
-    for rep in run_maximal_suite(cfg, None):
-        constants[rep.check] = rep.empirical_constant
-    for rep in run_diamond_suite(cfg, None):
-        if rep.check == "profile-equivalence":
-            constants["profile-equivalence.lo"] = rep.details["lo"]
-            constants["profile-equivalence.hi"] = rep.details["hi"]
+    for suite in (run_scalar_empirical_suite, run_interp_suite,
+                  run_maximal_suite, run_diamond_suite):
+        for rep in suite(cfg, None):
+            if rep.empirical_constant is not None:
+                constants[rep.check] = rep.empirical_constant
+            for end in ("lo", "hi"):
+                if end in rep.details:
+                    constants[f"{rep.check}.{end}"] = rep.details[end]
     provenance = {
         "config": cfg.meta(),
         "created": datetime.date.today().isoformat(),

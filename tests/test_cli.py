@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -69,6 +70,46 @@ def test_binary_and_csv_input_agree(capsys, tmp_path):
                            capsys)
     assert code_b == code_c == 0
     assert out_b.split(":")[1] == out_c.split(":")[1]
+
+
+ROWS = [f"{i},0.5,0.0" for i in range(64)]  # a valid 1-d, 64-point CSV body
+
+
+def _csv(rows):
+    return "index,re,im\n" + "".join(f"{row}\n" for row in rows)
+
+
+@pytest.mark.parametrize("name,content", [
+    ("short-row.csv", _csv(ROWS[:3] + ["3,0.5"] + ROWS[4:])),
+    ("bad-index.csv", _csv(ROWS[:3] + ["three,0.5,0.0"] + ROWS[4:])),
+    ("duplicate.csv", _csv(ROWS + ["5,0.25,0.0"])),
+    ("not-utf8.csv", _csv(ROWS).encode().replace(b"3,0.5,0.0", b"3,0.5,\xff", 1)),
+    ("ragged.bin", struct.pack("<IId", 1, 64, 2.0 * np.pi) + bytes(4)),
+], ids=["short-row", "bad-index", "duplicate-index", "not-utf8", "ragged-payload"])
+def test_malformed_input_exits_2(capsys, tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, _, err = run(["morrey-norm", "--input", str(path)] + SMALL, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["tlm-norm", "diamond-check"])
+def test_out_is_strict_json(capsys, tmp_path, command):
+    out_path = tmp_path / "out.json"
+    code, _, _ = run([command, "-r", "inf", "--out", str(out_path)] + SMALL, capsys)
+    assert code == 0
+    text = out_path.read_text()
+    json.loads(text, parse_constant=_reject_constant)
+    assert '"inf"' in text
 
 
 def test_diamond_check_expectations(capsys):

@@ -40,11 +40,11 @@ def test_dyadic_radii(spec64):
 
 
 @pytest.mark.parametrize("shape", ["cube", "ball"])
-@pytest.mark.parametrize("dim,points", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("dim,points", [(1, 32), (2, 16), (3, 8), (3, 16)])
 def test_brute_force_oracle(shape, dim, points):
     spec = tk.GridSpec(dim, points)
-    # the 16-point grid only has headroom for band 1 (2**(K+1) < nyquist)
-    band = 2 if points >= 32 else 1
+    # widest band with headroom on the grid (2**(K+1) < nyquist), at most 2
+    band = min(2, int(np.log2(spec.nyquist)) - 2)
     f = tk.random_bandlimited(spec, band, 42 + dim, real_output=False)
     pq = tk.LebesguePair(3.5, 2.0)
     sampler = tk.WindowSampler.dyadic(spec, shape)

@@ -44,6 +44,9 @@ def test_payload_and_atomic_write(tmp_path):
     assert loaded["checks"][0]["check"] == "demo"
     # no stray temp files left next to the report
     assert list(path.parent.iterdir()) == [path]
+    # non-finite floats are spelled as strings, at any depth
+    tk.write_json(path, {"r": np.inf, "details": {"drift": [-np.inf, np.nan]}})
+    assert json.loads(path.read_text()) == {"r": "inf", "details": {"drift": ["-inf", "nan"]}}
 
 
 def test_baseline_store_round_trip(tmp_path):

@@ -130,7 +130,6 @@ def test_summation_bound_gating():
     params = PhiPsiParams(0.5, 2.0)
     free = tk.summation_bound_check(a, params)
     assert free.verdict == "not-decided"
-    gated = tk.summation_bound_check(a, params, bound=free.empirical_constant)
-    assert gated.verdict == "pass"
-    tight = tk.summation_bound_check(a, params, bound=free.empirical_constant / 2.0)
-    assert tight.verdict == "fail"
+    assert free.empirical_constant == free.lhs / free.rhs
+    with pytest.raises(ParameterError):
+        tk.summation_bound_check(np.zeros(3), params)
