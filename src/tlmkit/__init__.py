@@ -68,10 +68,8 @@ from .scalars import (
 )
 from .spaces import (
     SpaceParams,
-    SquareFnConfig,
     diamond_criterion,
     diamond_tail,
-    partial_square_function,
     persistent_block_function,
     square_function,
     tlm_norm,

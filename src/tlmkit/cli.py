@@ -29,7 +29,6 @@ from .report import BaselineStore, report_payload, write_json
 from .spaces import (
     SpaceParams,
     diamond_criterion,
-    ensure_band_covered,
     persistent_block_function,
     tlm_norm,
 )
@@ -127,9 +126,14 @@ def _resolve_baseline(token: str):
 
 
 def _load_input(args, spec: GridSpec) -> GridFunction:
+    """Samples on the flag grid: a .bin header must name that same grid."""
     if args.input.endswith(".csv"):
         return read_csv(args.input, spec)
-    return read_binary(args.input)
+    f = read_binary(args.input)
+    if f.spec != spec:
+        raise ParameterError(f"{args.input}: header grid {f.spec} differs from "
+                             f"the --grid-* flags' {spec}")
+    return f
 
 
 def _print_reports(reports) -> int:
@@ -178,7 +182,6 @@ def cmd_morrey_norm(args) -> int:
     spec = _spec_from_args(args)
     if args.input:
         f = _load_input(args, spec)
-        spec = f.spec
     else:
         # demo input: indicator of the unit ball around the origin
         dist = sum(np.minimum(x, spec.length - x) ** 2 for x in spec.coordinates)
@@ -200,12 +203,10 @@ def cmd_tlm_norm(args) -> int:
     spec = _spec_from_args(args)
     if args.input:
         f = _load_input(args, spec)
-        spec = f.spec
     else:
         f = random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
     params = SpaceParams(args.p, args.q, args.r, args.s)
     family = build_family(spec, args.jmax, args.flavor)
-    ensure_band_covered(family, f)
     sampler = _sampler_from_args(args, spec)
     value = tlm_norm(f, family, params, sampler)
     print(f"tlm-norm p={args.p:g} q={args.q:g} r={args.r:g} s={args.s:g}: {value:.12g}")
@@ -222,13 +223,10 @@ def cmd_diamond_check(args) -> int:
     params = SpaceParams(args.p, args.q, args.r, args.s)
     if args.input:
         f = _load_input(args, spec)
-        spec = f.spec
-        family = build_family(spec, args.jmax, "plain")
     elif args.profile == "persistent":
         f = persistent_block_function(spec, family, s=args.s)
     else:
         f = random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
-    ensure_band_covered(family, f)
     sampler = _sampler_from_args(args, spec)
     rep = diamond_criterion(f, family, params, sampler)
     _print_reports([rep])
@@ -247,7 +245,6 @@ def cmd_interp_demo(args) -> int:
                        SpaceParams(args.p1, args.q1, args.r1, args.s1))
     if args.input:
         f = _load_input(args, spec)
-        spec = f.spec
     else:
         f = random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
     family = build_family(spec, args.jmax, "square_root")
@@ -261,16 +258,9 @@ def cmd_interp_demo(args) -> int:
         reports.append(boundary_lipschitz_check(fam, side, pairs, sampler))
     zs = [setup.theta + 1j * t for t in (-2.0, -0.5, 0.5, 2.0)]
     reports.append(global_growth_check(fam, zs, sampler))
-
-    trace = {rep.check: rep.to_dict() for rep in reports}
-    n_failed = _print_reports(reports)
-    if args.out:
-        write_json(args.out, {"setup": {
-            "theta": setup.theta, "kind": args.kind,
-            "end0": vars(setup.end0), "end1": vars(setup.end1),
-            "mid": vars(setup.mid)}, "checks": trace})
-        print(f"trace written to {args.out}")
-    return EXIT_CHECK_FAILED if n_failed else EXIT_OK
+    return _finish(args, reports, {"theta": setup.theta, "kind": args.kind,
+                                   "end0": vars(setup.end0), "end1": vars(setup.end1),
+                                   "mid": vars(setup.mid)})
 
 
 def cmd_scalar_suite(args) -> int:

@@ -53,7 +53,7 @@ from .grid import GridFunction
 from .lpaley import LPFamily, project_all
 from .morrey import WindowSampler
 from .report import VerificationReport, safe_ratio
-from .spaces import SpaceParams, ensure_band_covered, tlm_norm
+from .spaces import SpaceParams, tlm_norm
 
 __all__ = [
     "FAMILY_KINDS",
@@ -162,8 +162,7 @@ class AnalyticFamily:
 
 
 def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
-                          lp_family: LPFamily, sampler: WindowSampler,
-                          normalize: bool = True) -> AnalyticFamily:
+                          lp_family: LPFamily, sampler: WindowSampler) -> AnalyticFamily:
     """Project f onto the bands and cache the running aggregates.
 
     The base function is pre-scaled to unit middle norm (the construction
@@ -175,14 +174,13 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
         raise ParameterError(
             "exponent-shift families need the square-root multiplier flavor"
         )
-    ensure_band_covered(lp_family, f)
     scale = tlm_norm(f, lp_family, setup.mid, sampler)
-    if normalize and scale > 0.0:
+    if scale > 0.0:
         base = f * (1.0 / scale)
         base_norm = 1.0
     else:
         base = f
-        base_norm = scale if not normalize else 0.0
+        base_norm = 0.0
     blocks = tuple(b.values for b in project_all(lp_family, base))
     mid = setup.mid
     aggregates = []

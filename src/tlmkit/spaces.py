@@ -7,13 +7,12 @@ discrete Triebel-Lizorkin-Morrey norm is
         + || ( sum_{j>=1} 2^{jrs} |phi_j(D) f|^r )^(1/r) ||_{M^p_q},
 
 with the inner sum replaced by a sup when r = inf.  The square function
-aggregates all bands from j = 0; its truncated variant keeps only bands
-j >= J and is gated by the indicator of {a <= S(f) <= 1/a}, which is the
-quantity whose Morrey norm must vanish as J grows for the tail criterion
-to hold.
+aggregates all bands from j = 0; its truncated variants T_J keep only bands
+j >= J and are gated by the indicator of {a <= S(f) <= 1/a}, which is the
+sequence in J whose Morrey norm must vanish for the tail criterion to hold.
 
-Everything here assumes the grid resolves the function: a band-coverage
-check verifies that at most a 1e-10 fraction of spectral energy sits at
+Everything here assumes the grid resolves the function: every entry point
+checks once that at most a 1e-10 fraction of spectral energy sits at
 frequencies where the family's partition falls short of 1, and raises
 otherwise.
 """
@@ -33,11 +32,9 @@ from .report import VerificationReport, safe_ratio
 
 __all__ = [
     "SpaceParams",
-    "SquareFnConfig",
     "coverage_defect",
     "ensure_band_covered",
     "square_function",
-    "partial_square_function",
     "truncated_square_function",
     "tlm_norm",
     "diamond_tail",
@@ -46,6 +43,8 @@ __all__ = [
 ]
 
 COVERAGE_TOL = 1e-10
+DIAMOND_CUTOFFS = (0.1, 0.01)  # size cutoffs a of the tail criterion's gates
+DIAMOND_REL_TOL = 1e-8  # a tail below this fraction of its J = 0 norm has died out
 
 
 @dataclass(frozen=True)
@@ -68,25 +67,6 @@ class SpaceParams:
     @property
     def pair(self) -> LebesguePair:
         return LebesguePair(self.p, self.q)
-
-
-@dataclass(frozen=True)
-class SquareFnConfig:
-    """Truncation config: keep bands j >= start_band, gate the result by
-    the indicator of {cutoff <= S(f) <= 1/cutoff}."""
-
-    r: float
-    s: float
-    cutoff: float
-    start_band: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.r > 1.0:
-            raise ParameterError(f"need r > 1, got {self.r}")
-        if not 0.0 < self.cutoff <= 1.0:
-            raise ParameterError(f"cutoff must lie in (0, 1], got {self.cutoff}")
-        if self.start_band < 0:
-            raise ParameterError(f"start_band must be >= 0, got {self.start_band}")
 
 
 def coverage_defect(family: LPFamily, f: GridFunction) -> float:
@@ -112,52 +92,40 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
 
 
 def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> list:
-    """[|2^{js} phi_j(D) f|] for j = 0..j_max."""
+    """[|2^{js} phi_j(D) f|] for j = 0..j_max, once f is band-covered."""
+    ensure_band_covered(family, f)
     blocks = project_all(family, f)
     return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]
 
 
 def square_function(f: GridFunction, family: LPFamily, r: float, s: float) -> GridFunction:
     """S(f) = (sum_{j>=0} |2^{js} phi_j(D) f|^r)^(1/r), pointwise."""
-    ensure_band_covered(family, f)
     agg = _lr_aggregate(_weighted_blocks(family, f, s), r)
     return GridFunction(f.spec, agg)
 
 
-def partial_square_function(f: GridFunction, family: LPFamily, r: float,
-                            s: float, n_bands: int) -> GridFunction:
-    """Aggregate of the first bands only, j = 0..n_bands (inclusive)."""
-    if not 0 <= n_bands <= family.j_max:
-        raise ParameterError(f"n_bands {n_bands} outside 0..{family.j_max}")
-    ensure_band_covered(family, f)
-    weighted = _weighted_blocks(family, f, s)[: n_bands + 1]
-    return GridFunction(f.spec, _lr_aggregate(weighted, r))
+def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
+                              s: float, cutoff: float) -> list:
+    """Gated tails [T_0 f, ..., T_{j_max} f] from one projection of f.
 
-
-def truncated_square_function(f: GridFunction, family: LPFamily,
-                              cfg: SquareFnConfig) -> GridFunction:
-    """Tail aggregate over j >= start_band, gated by the size window.
-
-    The gate is the indicator of {cutoff <= S(f) <= 1/cutoff} evaluated on
-    the full square function; an empty tail (start_band beyond the top
-    band) gives the zero function.
+    T_J f is the aggregate over bands j >= J, gated by the indicator of
+    {cutoff <= S(f) <= 1/cutoff} evaluated on the full square function.
+    Each tail is a real, nonnegative array on f's grid.
     """
-    ensure_band_covered(family, f)
-    weighted = _weighted_blocks(family, f, cfg.s)
-    full = _lr_aggregate(weighted, cfg.r)
-    gate = (full >= cfg.cutoff) & (full <= 1.0 / cfg.cutoff)
-    tail_stack = weighted[cfg.start_band:]
-    if not tail_stack:
-        tail = np.zeros(f.spec.shape)
-    else:
-        tail = _lr_aggregate(tail_stack, cfg.r)
-    return GridFunction(f.spec, np.where(gate, tail, 0.0))
+    if not r > 1.0:
+        raise ParameterError(f"need r > 1, got {r}")
+    if not 0.0 < cutoff <= 1.0:
+        raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")
+    weighted = _weighted_blocks(family, f, s)
+    full = _lr_aggregate(weighted, r)
+    gate = (full >= cutoff) & (full <= 1.0 / cutoff)
+    return [np.where(gate, _lr_aggregate(weighted[j:], r), 0.0)
+            for j in range(len(weighted))]
 
 
 def tlm_norm(f: GridFunction, family: LPFamily, params: SpaceParams,
              sampler: WindowSampler) -> float:
     """Triebel-Lizorkin-Morrey norm over the sampler's window family."""
-    ensure_band_covered(family, f)
     weighted = _weighted_blocks(family, f, params.s)
     low = _morrey_norm_array(weighted[0], f.spec, params.pair, sampler)
     if len(weighted) == 1:
@@ -179,42 +147,38 @@ def diamond_tail(f: GridFunction, family: LPFamily, params: SpaceParams,
 
 
 def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
-                      sampler: WindowSampler, cutoffs=(0.1, 0.01),
-                      start_bands=None, rel_tol: float = 1e-8) -> VerificationReport:
+                      sampler: WindowSampler) -> VerificationReport:
     """Decide the vanishing-tail test: does the gated tail norm die out?
 
-    For each size cutoff ``a`` the Morrey norm of the truncated square
-    function is tracked as the start band J sweeps up.  Verdict "pass"
-    (consistent with membership) if for every cutoff the final norm has
-    dropped below rel_tol times the initial one (or everything is zero);
-    otherwise "not-decided": at this resolution the tail persists.
+    For each size cutoff ``a`` in DIAMOND_CUTOFFS the Morrey norm of the
+    truncated square function T_J f is tracked as the start band J sweeps
+    0..j_max.  Verdict "pass" (consistent with membership) if for every
+    cutoff the final norm has dropped below DIAMOND_REL_TOL times the
+    initial one (or everything is zero); otherwise "not-decided": at this
+    resolution the tail persists.
     """
     t0 = time.perf_counter()
-    if start_bands is None:
-        start_bands = tuple(range(family.j_max + 1))
     sequences = {}
     decided = True
     worst_first = 0.0
     worst_last = 0.0
-    for a in cutoffs:
-        norms = []
-        for start in start_bands:
-            cfg = SquareFnConfig(params.r, params.s, a, start)
-            g = truncated_square_function(f, family, cfg)
-            norms.append(_morrey_norm_array(g.modulus(), f.spec, params.pair, sampler))
+    for a in DIAMOND_CUTOFFS:
+        tails = truncated_square_function(f, family, params.r, params.s, a)
+        norms = [_morrey_norm_array(tail, f.spec, params.pair, sampler) for tail in tails]
         sequences[a] = norms
         first, last = norms[0], norms[-1]
         worst_first = max(worst_first, first)
         worst_last = max(worst_last, last)
-        if first > 0.0 and last > rel_tol * first:
+        if first > 0.0 and last > DIAMOND_REL_TOL * first:
             decided = False
     verdict = "pass" if decided else "not-decided"
     return VerificationReport(
         check="diamond-tail-criterion",
         parameters={"p": params.p, "q": params.q, "r": params.r, "s": params.s,
-                    "cutoffs": list(cutoffs), "start_bands": list(start_bands)},
+                    "cutoffs": list(DIAMOND_CUTOFFS),
+                    "start_bands": list(range(family.j_max + 1))},
         lhs=worst_last,
-        rhs=rel_tol * max(worst_first, 1.0),
+        rhs=DIAMOND_REL_TOL * max(worst_first, 1.0),
         ratio=safe_ratio(worst_last, worst_first),
         verdict=verdict,
         runtime=time.perf_counter() - t0,

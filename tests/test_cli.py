@@ -1,8 +1,10 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tlmkit import BaselineStore, GridSpec, random_bandlimited, write_binary, write_csv
 from tlmkit.cli import main
@@ -79,13 +81,23 @@ def _csv(rows):
     return "index,re,im\n" + "".join(f"{row}\n" for row in rows)
 
 
+def _bin(points, samples):
+    payload = np.zeros(2 * points)
+    payload[0:2 * len(samples):2] = samples
+    return struct.pack("<IId", 1, points, 2.0 * np.pi) + payload.astype("<f8").tobytes()
+
+
 @pytest.mark.parametrize("name,content", [
     ("short-row.csv", _csv(ROWS[:3] + ["3,0.5"] + ROWS[4:])),
     ("bad-index.csv", _csv(ROWS[:3] + ["three,0.5,0.0"] + ROWS[4:])),
     ("duplicate.csv", _csv(ROWS + ["5,0.25,0.0"])),
     ("not-utf8.csv", _csv(ROWS).encode().replace(b"3,0.5,0.0", b"3,0.5,\xff", 1)),
+    ("nan.csv", _csv(ROWS[:3] + ["3,nan,0.0"] + ROWS[4:])),
     ("ragged.bin", struct.pack("<IId", 1, 64, 2.0 * np.pi) + bytes(4)),
-], ids=["short-row", "bad-index", "duplicate-index", "not-utf8", "ragged-payload"])
+    ("inf.bin", _bin(64, [0.5, 0.5, np.inf])),
+    ("grid-mismatch.bin", _bin(128, [0.5])),
+], ids=["short-row", "bad-index", "duplicate-index", "not-utf8", "nan-sample",
+        "ragged-payload", "inf-sample", "grid-mismatch"])
 def test_malformed_input_exits_2(capsys, tmp_path, name, content):
     path = tmp_path / name
     if isinstance(content, bytes):
@@ -96,6 +108,41 @@ def test_malformed_input_exits_2(capsys, tmp_path, name, content):
     assert code == 2
     assert err.startswith("error: ") and str(path) in err
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def valid_sample_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    f = random_bandlimited(GridSpec(1, 64), 3, seed=99)
+    write_binary(f, str(root / "f.bin"))
+    write_csv(f, str(root / "f.csv"))
+    return {ext: (root / f"f.{ext}").read_bytes() for ext in ("bin", "csv")}
+
+
+# run() drains capsys, so the shared fixture starts empty for every example
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ext=st.sampled_from(["bin", "csv"]), where=st.integers(0, 2**16),
+       truncate=st.booleans(), byte=st.integers(0, 255))
+def test_mutated_input_exits_0_or_names_file(capsys, tmp_path_factory,
+                                             valid_sample_files, ext, where,
+                                             truncate, byte):
+    raw = valid_sample_files[ext]
+    i = where % len(raw)
+    data = raw[:i] if truncate else raw[:i] + bytes([byte]) + raw[i + 1:]
+    path = tmp_path_factory.mktemp("mutated") / f"m.{ext}"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        code, out, err = run(["morrey-norm", "--input", str(path)] + SMALL, capsys)
+    if code == 2:
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+    else:
+        assert code == 0
+    # a sample blown up near the float64 limit overflows the q-th power sums;
+    # that must show as an infinite norm, never as a warning behind a number
+    assert not caught or out.rstrip().endswith(": inf")
 
 
 def _reject_constant(name):
@@ -166,11 +213,16 @@ def test_report_json_schema(capsys, tmp_path):
     assert all("check" in r and "verdict" in r for r in doc["checks"])
 
 
-def test_interp_demo_runs(capsys):
-    code, out, _ = run(["interp-demo"] + SMALL, capsys)
+def test_interp_demo_runs(capsys, tmp_path):
+    out_path = tmp_path / "demo.json"
+    code, out, _ = run(["interp-demo", "--out", str(out_path)] + SMALL, capsys)
     assert code == 0
     assert "reconstruction" in out
     assert "0 failed" in out
+    doc = json.loads(out_path.read_text())
+    n_printed = sum(1 for line in out.splitlines() if line.startswith("["))
+    assert doc["n_checks"] == len(doc["checks"]) == n_printed == 6
+    assert doc["config"]["kind"] == "exponent-shift"
 
 
 def test_version_flag(capsys):

@@ -28,32 +28,44 @@ def test_square_function_matches_blocks(spec256, family_plain, f_band4):
     assert np.max(np.abs(got - want)) < 1e-12 * max(want.max(), 1.0)
 
 
-def test_partial_square_monotone(family_plain, f_band4):
-    r, s = 2.0, 0.3
-    values = [
-        tk.partial_square_function(f_band4, family_plain, r, s, n).values.real
-        for n in range(family_plain.j_max + 1)
-    ]
-    for lo, hi in zip(values, values[1:]):
+def test_partial_square_monotone(family_sqrt, sampler256, f_band4):
+    # the analytic family's running aggregates V_nu are the partial square
+    # functions over bands 0..nu of its base, so they grow with nu up to S
+    setup = tk.make_setup(0.5, tk.SpaceParams(8.0, 4.0, 2.5, 0.3),
+                          tk.SpaceParams(4.0, 2.0, 2.5, 0.3))
+    fam = tk.build_analytic_family("four-exponent", setup, f_band4, family_sqrt,
+                                   sampler256)
+    mid = setup.mid
+    for lo, hi in zip(fam.aggregates, fam.aggregates[1:]):
         assert np.all(hi >= lo - 1e-13)
-    full = tk.square_function(f_band4, family_plain, r, s).values.real
-    assert np.max(np.abs(values[-1] - full)) < 1e-13
+    full = tk.square_function(fam.base, family_sqrt, mid.r, mid.s).values.real
+    assert np.max(np.abs(fam.aggregates[-1] - full)) < 1e-13 * max(full.max(), 1.0)
 
 
 def test_truncated_gate_zeroes_out_of_range(spec256, family_plain, f_band4):
-    cfg = tk.SquareFnConfig(2.0, 0.0, 0.5, 0)
     full = tk.square_function(f_band4, family_plain, 2.0, 0.0).values.real
-    gated = tk.truncated_square_function(f_band4, family_plain, cfg).values.real
+    gated = tk.truncated_square_function(f_band4, family_plain, 2.0, 0.0, 0.5)[0]
     outside = (full < 0.5) | (full > 2.0)
     assert np.all(gated[outside] == 0.0)
     inside = ~outside
     assert np.allclose(gated[inside], full[inside])
 
 
-def test_truncated_tail_empty_is_zero(family_plain, f_band4):
-    cfg = tk.SquareFnConfig(2.0, 0.0, 0.1, family_plain.j_max + 1)
-    gated = tk.truncated_square_function(f_band4, family_plain, cfg)
-    assert np.all(gated.values == 0.0)
+def test_truncated_tails_match_direct_aggregate(family_plain, f_band4):
+    r, s, a = 2.5, 0.3, 0.1
+    tails = tk.truncated_square_function(f_band4, family_plain, r, s, a)
+    assert len(tails) == family_plain.j_max + 1
+    weighted = [2.0 ** (j * s) * np.abs(b.values)
+                for j, b in enumerate(tk.project_all(family_plain, f_band4))]
+    full = np.sum([w**r for w in weighted], axis=0) ** (1.0 / r)
+    gate = (full >= a) & (full <= 1.0 / a)
+    for start, tail in enumerate(tails):
+        want = np.sum([w**r for w in weighted[start:]], axis=0) ** (1.0 / r)
+        np.testing.assert_allclose(tail, np.where(gate, want, 0.0),
+                                   rtol=1e-13, atol=1e-13 * full.max())
+    for bad_r, bad_a in ((1.0, a), (r, 0.0), (r, 1.5)):
+        with pytest.raises(ParameterError):
+            tk.truncated_square_function(f_band4, family_plain, bad_r, s, bad_a)
 
 
 def test_tlm_norm_decomposition(spec256, family_plain, sampler256, f_band4):
