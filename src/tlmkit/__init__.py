@@ -53,7 +53,6 @@ from .morrey import (
     LebesguePair,
     WindowSampler,
     morrey_norm,
-    morrey_norm_vector,
 )
 from .report import BaselineStore, VerificationReport, report_payload, write_json
 from .scalars import (
@@ -64,7 +63,6 @@ from .scalars import (
     phi_kappa,
     psi_kappa,
     psi_tail_bound_check,
-    summation_bound_check,
 )
 from .spaces import (
     SpaceParams,
@@ -87,6 +85,7 @@ from .suites import (
     run_partition_suite,
     run_scalar_empirical_suite,
     run_scalar_exact_suite,
+    summation_ratio,
     verify_all,
 )
 

@@ -108,8 +108,7 @@ def _sampler_from_args(args, spec: GridSpec) -> WindowSampler:
 def _config_from_args(args) -> SuiteConfig:
     return SuiteConfig(seed=args.seed, points=args.grid_points,
                        length=args.grid_length, j_max=args.jmax,
-                       window_shape=getattr(args, "windows", "cube"),
-                       quad_nodes=getattr(args, "quad_nodes", 32))
+                       window_shape=getattr(args, "windows", "cube"))
 
 
 def _resolve_baseline(token: str):

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<IId")  # dim, points per axis, domain length
+_ECHO_CHARS = 80  # longest bad CSV row quoted back in an error
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -153,12 +154,6 @@ class GridFunction:
 
     def modulus(self) -> np.ndarray:
         return np.abs(self.values)
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        scale = float(np.max(np.abs(self.values)))
-        if scale == 0.0:
-            return True
-        return float(np.max(np.abs(self.values.imag))) <= tol * scale
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _check_same_spec(self, other)
@@ -329,8 +324,11 @@ def read_csv(path, spec: GridSpec) -> GridFunction:
                 i = int(row[0])
                 value = float(row[1]) + 1j * float(row[2])
             except (IndexError, ValueError):
+                got = repr(row)
+                if len(got) > _ECHO_CHARS:
+                    got = got[:_ECHO_CHARS] + "..."
                 raise ParameterError(
-                    f"{path}: line {reader.line_num}: expected index,re,im, got {row!r}"
+                    f"{path}: line {reader.line_num}: expected index,re,im, got {got}"
                 ) from None
             if not 0 <= i < spec.size:
                 raise ParameterError(f"{path}: index {i} out of range")

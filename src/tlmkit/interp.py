@@ -38,7 +38,7 @@ only keeps intermediates finite.
 
 G(z) integrates F along the straight segment from theta by Gauss-Legendre
 quadrature; the integrand is entire in z pointwise, so doubling the node
-count is a spectral-accuracy cross-check (enforced by default).
+count is a spectral-accuracy cross-check (enforced by default, to QUAD_TOL).
 """
 
 from __future__ import annotations
@@ -73,6 +73,12 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("exponent-shift", "four-exponent")
+
+QUAD_NODES = 32  # Gauss-Legendre nodes per unit-length chunk of a segment
+QUAD_TOL = 1e-9  # relative l2 gap allowed between the n- and 2n-node rules
+HOLOMORPHY_PROBES = 20  # random functionals of the Cauchy-Riemann probe
+HOLOMORPHY_STEP = 2e-4  # stencil step of its difference quotients
+HOLDER_SLACK = 1e-6  # relative room of the norm interpolation inequality
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,6 @@ class AnalyticFamily:
     setup: InterpSetup
     lp_family: LPFamily
     base: GridFunction
-    scale: float  # norm of the original f before pre-scaling
     blocks: tuple  # complex arrays phi_nu(D) base
     aggregates: tuple  # real arrays V_nu
     base_norm: float  # norm of the stored base (1 after pre-scaling)
@@ -166,7 +171,7 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     """Project f onto the bands and cache the running aggregates.
 
     The base function is pre-scaled to unit middle norm (the construction
-    assumes it); the scale factor is retained on the family.
+    assumes it).
     """
     if kind not in FAMILY_KINDS:
         raise ParameterError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
@@ -188,7 +193,7 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     for j, b in enumerate(blocks):
         running = running + (2.0 ** (j * mid.s) * np.abs(b)) ** mid.r
         aggregates.append(running ** (1.0 / mid.r))
-    return AnalyticFamily(kind, setup, lp_family, base, scale,
+    return AnalyticFamily(kind, setup, lp_family, base,
                           blocks, tuple(aggregates), base_norm)
 
 
@@ -241,14 +246,13 @@ def _segment_rule(fam: AnalyticFamily, z_from: complex, z_to: complex,
 
 
 def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex,
-                     n_nodes: int = 32, check: bool = True,
-                     check_tol: float = 1e-9) -> GridFunction:
+                     n_nodes: int = QUAD_NODES, check: bool = True) -> GridFunction:
     """integral of F along the straight segment, composite Gauss-Legendre.
 
     Segments longer than 1 are split into unit-length chunks so the node
     count tracks the oscillation of the integrand up the strip.  With
     ``check`` each chunk is recomputed at double the node count and the
-    two must agree to ``check_tol`` relative in the grid l2 norm.
+    two must agree to QUAD_TOL relative in the grid l2 norm.
     """
     z_from, z_to = complex(z_from), complex(z_to)
     spec = fam.base.spec
@@ -265,7 +269,7 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex,
         fine = _segment_rule(fam, za, zb, 2 * n_nodes)
         scale = float(np.linalg.norm(fine.ravel()))
         gap = float(np.linalg.norm((fine - coarse).ravel()))
-        if gap > check_tol * max(scale, 1e-300):
+        if gap > QUAD_TOL * max(scale, 1e-300):
             raise ParameterError(
                 f"contour quadrature not converged on [{za}, {zb}]: "
                 f"relative gap {gap / max(scale, 1e-300):.2e} with {n_nodes} nodes"
@@ -274,10 +278,10 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex,
     return GridFunction(spec, total)
 
 
-def family_G(fam: AnalyticFamily, z: complex, n_nodes: int = 32,
-             check: bool = True, check_tol: float = 1e-9) -> GridFunction:
-    """G(z) = integral from theta to z of F; G(theta) is exactly zero."""
-    return segment_integral(fam, fam.setup.theta, z, n_nodes, check, check_tol)
+def family_G(fam: AnalyticFamily, z: complex, check: bool = True) -> GridFunction:
+    """G(z) = integral from theta to z of F (QUAD_NODES per unit chunk, checked
+    against twice as many unless ``check`` is off); G(theta) is exactly zero."""
+    return segment_integral(fam, fam.setup.theta, z, QUAD_NODES, check)
 
 
 def sum_space_proxy(g: GridFunction, lp_family: LPFamily, end0: SpaceParams,
@@ -308,8 +312,7 @@ def sum_space_proxy(g: GridFunction, lp_family: LPFamily, end0: SpaceParams,
 
 
 def boundary_lipschitz_check(fam: AnalyticFamily, side: int, t_pairs,
-                             sampler: WindowSampler,
-                             n_nodes: int = 32) -> VerificationReport:
+                             sampler: WindowSampler) -> VerificationReport:
     """Lipschitz ratios of G along one boundary line Re z = side.
 
     For each pair (t1, t2) the difference G(side+it1) - G(side+it2) is a
@@ -326,7 +329,7 @@ def boundary_lipschitz_check(fam: AnalyticFamily, side: int, t_pairs,
     for t_a, t_b in t_pairs:
         if t_a == t_b:
             raise ParameterError("need distinct boundary points")
-        diff = segment_integral(fam, side + 1j * t_b, side + 1j * t_a, n_nodes)
+        diff = segment_integral(fam, side + 1j * t_b, side + 1j * t_a)
         norm = tlm_norm(diff, fam.lp_family, params, sampler)
         ratios.append(norm / abs(t_a - t_b))
     worst = max(ratios)
@@ -342,8 +345,8 @@ def boundary_lipschitz_check(fam: AnalyticFamily, side: int, t_pairs,
     )
 
 
-def global_growth_check(fam: AnalyticFamily, z_samples, sampler: WindowSampler,
-                        n_nodes: int = 32) -> VerificationReport:
+def global_growth_check(fam: AnalyticFamily, z_samples,
+                        sampler: WindowSampler) -> VerificationReport:
     """sup over samples of proxy-sum-norm(G(z)) / (1+|z|), normalized.
 
     The normalizer is ||f||^(p/p_0) + ||f||^(p/p_1) (2 after pre-scaling).
@@ -357,7 +360,7 @@ def global_growth_check(fam: AnalyticFamily, z_samples, sampler: WindowSampler,
     worst = 0.0
     values = {}
     for z in z_samples:
-        g = family_G(fam, z, n_nodes)
+        g = family_G(fam, z)
         proxy = sum_space_proxy(g, fam.lp_family, setup.end0, setup.end1, sampler)
         value = proxy / (1.0 + abs(complex(z)))
         values[repr(complex(z))] = value
@@ -374,11 +377,10 @@ def global_growth_check(fam: AnalyticFamily, z_samples, sampler: WindowSampler,
 
 
 def holder_interpolation_check(setup: InterpSetup, fs, lp_family: LPFamily,
-                               sampler: WindowSampler,
-                               slack: float = 1e-6) -> VerificationReport:
+                               sampler: WindowSampler) -> VerificationReport:
     """Interpolation inequality of norms on a corpus of functions:
 
-        ||g||_mid <= ||g||_0^(1-theta) ||g||_1^theta  (up to slack).
+        ||g||_mid <= ||g||_0^(1-theta) ||g||_1^theta  (up to HOLDER_SLACK).
     """
     t0 = time.perf_counter()
     worst = 0.0
@@ -392,33 +394,34 @@ def holder_interpolation_check(setup: InterpSetup, fs, lp_family: LPFamily,
         count += 1
     if count == 0:
         raise ParameterError("need at least one function")
-    verdict = "pass" if worst <= 1.0 + slack else "fail"
+    verdict = "pass" if worst <= 1.0 + HOLDER_SLACK else "fail"
     return VerificationReport(
         check="norm-interpolation-inequality",
-        parameters={"theta": setup.theta, "n_functions": count, "slack": slack},
-        lhs=worst, rhs=1.0 + slack, ratio=worst / (1.0 + slack), verdict=verdict,
+        parameters={"theta": setup.theta, "n_functions": count, "slack": HOLDER_SLACK},
+        lhs=worst, rhs=1.0 + HOLDER_SLACK, ratio=worst / (1.0 + HOLDER_SLACK),
+        verdict=verdict,
         runtime=time.perf_counter() - t0,
     )
 
 
-def holomorphy_residual(fam: AnalyticFamily, z: complex, n_probes: int = 20,
-                        seed: int = 0, step: float = 2e-4,
-                        n_nodes: int = 32) -> float:
+def holomorphy_residual(fam: AnalyticFamily, z: complex, seed: int = 0) -> float:
     """Largest relative Cauchy-Riemann residual of z -> <G(z), w>.
 
-    Probes G against random functionals w (grid inner products) on a
-    5-point stencil; for a holomorphic map the symmetric x- and
-    y-derivatives satisfy d/dx + i d/dy = 0.
+    Probes G against HOLOMORPHY_PROBES random functionals w (grid inner
+    products) on a 5-point stencil of step HOLOMORPHY_STEP; for a
+    holomorphic map the symmetric x- and y-derivatives satisfy
+    d/dx + i d/dy = 0.
     """
     z = complex(z)
+    step = HOLOMORPHY_STEP
     rng = np.random.default_rng(seed)
     spec = fam.base.spec
     stencil = {}
     for dz in (step, -step, 1j * step, -1j * step):
-        stencil[dz] = family_G(fam, z + dz, n_nodes).values
+        stencil[dz] = family_G(fam, z + dz).values
     hn = spec.cell_volume
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(HOLOMORPHY_PROBES):
         w = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
         u = {dz: hn * np.vdot(w, g) for dz, g in stencil.items()}
         du_dx = (u[step] - u[-step]) / (2.0 * step)

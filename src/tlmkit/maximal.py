@@ -17,13 +17,11 @@ and the stability of band sums under re-projection,
     || (sum_{l>=1} |phi_l(D) sum_j phi_j(D) g_j|^r)^(1/r) ||_{M^p_q}
         <= C || (sum_j |g_j|^r)^(1/r) ||_{M^p_q}.
 
-Both report the empirical ratio with verdict "not-decided"; the suites
-gate it against a calibrated constant.
+Both return the empirical ratio; the suites gate it against a calibrated
+constant.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .morrey import (
     window_count,
     window_sum,
 )
-from .report import VerificationReport, safe_ratio
+from .report import safe_ratio
 
 __all__ = [
     "hl_maximal",
@@ -75,13 +73,12 @@ def hl_maximal(f: GridFunction, sampler: WindowSampler) -> GridFunction:
 
 
 def vector_maximal_check(fs, r: float, pq: LebesguePair,
-                         sampler: WindowSampler) -> VerificationReport:
+                         sampler: WindowSampler) -> float:
     """Empirical ratio of the vector maximal inequality on one tuple.
 
     ``sampler`` is both the maximal operator's window family and the
     Morrey norm's.
     """
-    t0 = time.perf_counter()
     fs = list(fs)
     spec = _shared_spec(fs)
     if not (np.isinf(r) or r > 1.0):
@@ -90,20 +87,12 @@ def vector_maximal_check(fs, r: float, pq: LebesguePair,
     maxed = [_maximal_array(m, spec, sampler) for m in moduli]
     lhs = _morrey_norm_array(_lr_aggregate(maxed, r), spec, pq, sampler)
     rhs = _morrey_norm_array(_lr_aggregate(moduli, r), spec, pq, sampler)
-    ratio = safe_ratio(lhs, rhs)
-    return VerificationReport(
-        check="vector-maximal",
-        parameters={"p": pq.p, "q": pq.q, "r": r, "n_functions": len(fs),
-                    "window_shape": sampler.window_shape, "points": spec.points},
-        lhs=lhs, rhs=rhs, ratio=ratio, verdict="not-decided",
-        empirical_constant=ratio,
-        runtime=time.perf_counter() - t0,
-    )
+    return safe_ratio(lhs, rhs)
 
 
 def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
                                pq: LebesguePair,
-                               sampler: WindowSampler) -> VerificationReport:
+                               sampler: WindowSampler) -> float:
     """Empirical ratio for re-projected band sums.
 
     ``gs[i]`` rides band ``start_band + i``; the bands must fit under the
@@ -111,7 +100,6 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
     through every band l >= 1 and aggregates in l; the right side
     aggregates the raw inputs.
     """
-    t0 = time.perf_counter()
     gs = list(gs)
     spec = _shared_spec(gs)
     if start_band < 1:
@@ -133,15 +121,7 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
     rhs_stack = [g.modulus() for g in gs]
     lhs = _morrey_norm_array(_lr_aggregate(lhs_stack, r), spec, pq, sampler)
     rhs = _morrey_norm_array(_lr_aggregate(rhs_stack, r), spec, pq, sampler)
-    ratio = safe_ratio(lhs, rhs)
-    return VerificationReport(
-        check="projection-stability",
-        parameters={"p": pq.p, "q": pq.q, "r": r, "start_band": start_band,
-                    "n_functions": len(gs), "points": spec.points},
-        lhs=lhs, rhs=rhs, ratio=ratio, verdict="not-decided",
-        empirical_constant=ratio,
-        runtime=time.perf_counter() - t0,
-    )
+    return safe_ratio(lhs, rhs)
 
 
 def multiplier_maximal_ratio(f: GridFunction, family: LPFamily,

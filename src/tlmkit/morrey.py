@@ -26,6 +26,7 @@ L^p norm up to pure summation rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,6 @@ __all__ = [
     "LebesguePair",
     "WindowSampler",
     "morrey_norm",
-    "morrey_norm_vector",
     "window_sum",
     "window_count",
     "window_volume",
@@ -50,6 +50,10 @@ _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
 # inclusive window membership: points at distance exactly R belong
 _EDGE_TOL = 1.0 + 1e-12
+
+# binary exponents of float64's normal range, 2^-1022 .. 2^1024
+_MIN_EXP = np.finfo(np.float64).minexp
+_MAX_EXP = np.finfo(np.float64).maxexp
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,6 @@ class LebesguePair:
             raise ParameterError(
                 f"need 1 < q <= p < inf, got p={self.p}, q={self.q}"
             )
-
-    @property
-    def ratio(self) -> float:
-        return self.p / self.q
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,6 @@ class WindowSampler:
         levels = int(np.log2(spec.points)) - 1
         radii = tuple(spec.spacing * 2.0**m for m in range(levels + 1))
         return cls(radii, center_stride, window_shape)
-
-    def refined(self) -> "WindowSampler":
-        """Insert geometric midpoints between consecutive radii."""
-        radii = list(self.radii)
-        mids = [np.sqrt(a * b) for a, b in zip(radii, radii[1:])]
-        return WindowSampler(tuple(sorted(radii + mids)), self.center_stride,
-                             self.window_shape)
 
     def validate_against(self, spec: GridSpec) -> None:
         if self.radii[-1] > spec.length / 2.0 * _EDGE_TOL:
@@ -210,6 +203,19 @@ def _shared_spec(fs: list) -> GridSpec:
     return spec
 
 
+def _rescale_exponent(peak: float, power: float, growth: float) -> int:
+    """0 while peak**power, and sums of it up to ``growth`` times larger,
+    stay in float64's normal range; otherwise the binary exponent e of the
+    peak (peak = m 2^e, 1/2 <= m < 1).  Scaling by 2^-e is exact, and the
+    norms built on these powers are 1-homogeneous, so 2^e scales back."""
+    if peak == 0.0:
+        return 0
+    top = power * math.log2(peak)
+    if _MIN_EXP <= top and top + math.log2(growth) < _MAX_EXP:
+        return 0
+    return math.frexp(peak)[1]
+
+
 def _lr_aggregate(stack, r: float) -> np.ndarray:
     """Pointwise l^r norm across a nonempty list of same-shape arrays;
     r = inf takes the pointwise max."""
@@ -218,6 +224,9 @@ def _lr_aggregate(stack, r: float) -> np.ndarray:
     arr = np.stack(stack)
     if np.isinf(r):
         return arr.max(axis=0)
+    e = _rescale_exponent(float(arr.max()), r, len(arr))
+    if e:
+        return np.ldexp(_lr_aggregate(np.ldexp(arr, -e), r), e)
     return (arr**r).sum(axis=0) ** (1.0 / r)
 
 
@@ -230,6 +239,11 @@ def _strided_max(arr: np.ndarray, stride: int) -> float:
 def _morrey_norm_array(modulus: np.ndarray, spec: GridSpec, pq: LebesguePair,
                        sampler: WindowSampler) -> float:
     sampler.validate_against(spec)
+    # a ball window's FFT convolution passes through size^2 times the peak power
+    e = _rescale_exponent(float(modulus.max()), pq.q, float(modulus.size) ** 2)
+    if e:
+        value = _morrey_norm_array(np.ldexp(modulus, -e), spec, pq, sampler)
+        return float(np.ldexp(value, e))
     g = modulus**pq.q
     hn = spec.cell_volume
     vol_exp = 1.0 / pq.p - 1.0 / pq.q
@@ -247,20 +261,3 @@ def morrey_norm(f: GridFunction, pq: LebesguePair, sampler: WindowSampler) -> fl
     """Discrete Morrey norm of |f| over the sampler's window family."""
     return _morrey_norm_array(f.modulus(), f.spec, pq, sampler)
 
-
-def morrey_norm_vector(fs, weights, r: float, pq: LebesguePair,
-                       sampler: WindowSampler) -> float:
-    """Morrey norm of the pointwise l^r aggregate of weighted functions.
-
-    Computes || ( sum_j |w_j f_j|^r )^(1/r) ||_{M^p_q}; r = inf takes the
-    pointwise sup over j.  All functions must share one grid.
-    """
-    fs = list(fs)
-    spec = _shared_spec(fs)
-    weights = np.asarray(list(weights), dtype=np.float64)
-    if weights.shape != (len(fs),):
-        raise ParameterError(
-            f"got {len(fs)} functions but {weights.size} weights"
-        )
-    agg = _lr_aggregate([np.abs(w) * f.modulus() for w, f in zip(weights, fs)], r)
-    return _morrey_norm_array(agg, spec, pq, sampler)

@@ -127,11 +127,6 @@ class BaselineStore:
     constants: dict
     provenance: dict
 
-    def get(self, check_id: str) -> float:
-        if check_id not in self.constants:
-            raise BaselineError(f"no calibrated constant for {check_id!r}")
-        return float(self.constants[check_id])
-
     def maybe(self, check_id: str):
         return self.constants.get(check_id)
 

@@ -50,13 +50,18 @@ __all__ = [
     "sequence_power_margin",
     "log_damping_complex_check",
     "log_damping_imag_check",
-    "summation_bound_check",
     "psi_tail_bound_check",
     "exp_log_bound_check",
 ]
 
 # series/direct crossover for removable singularities at s = 1 (w = z log s)
 _SERIES_CUT = 1e-4
+
+PSI_TOL = 1e-10  # absolute error allowed in the Psi quadrature
+EXACT_SLACK = 1e-8  # relative rounding room of the exact scalar bounds
+STABILITY_TOL = 0.1  # a scanned sup is stable if its refined re-scan agrees this well
+S_GRID_POINTS = 200  # log-damping scan: points per part of the (0,1) grid
+EXP_LOG_POINTS = 400  # holomorphy-modulus scan: points per log grid
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,8 @@ def _psi_integrand_u(u: float, kappa: float, r: float) -> float:
     return 2.0 * u ** (2.0 * kappa - 1.0) / lg**r
 
 
-def psi_kappa(t: float, params: PhiPsiParams, tol: float = 1e-10) -> float:
-    """Psi_kappa(t) by adaptive quadrature; absolute tolerance ``tol``."""
+def psi_kappa(t: float, params: PhiPsiParams) -> float:
+    """Psi_kappa(t) by adaptive quadrature; absolute tolerance PSI_TOL."""
     if t < 0 or not np.isfinite(t):
         raise ParameterError(f"psi_kappa needs finite t >= 0, got {t}")
     if t == 0.0:
@@ -105,14 +110,14 @@ def psi_kappa(t: float, params: PhiPsiParams, tol: float = 1e-10) -> float:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         value, abserr = integrate.quad(
             _psi_integrand_u, 0.0, top, args=(params.kappa, params.r),
-            points=interior, limit=200, epsabs=min(tol, 1e-12), epsrel=1e-12,
+            points=interior, limit=200, epsabs=1e-12, epsrel=1e-12,
         )
     bad = [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if bad and abserr > tol:
+    if bad and abserr > PSI_TOL:
         raise QuadratureError(
             f"Psi quadrature did not converge at t={t:g}: {bad[0].message}"
         )
-    if abserr > max(tol, 1e-11 * abs(value)):
+    if abserr > max(PSI_TOL, 1e-11 * abs(value)):
         raise QuadratureError(
             f"Psi quadrature error {abserr:.2e} above tolerance at t={t:g}"
         )
@@ -120,26 +125,31 @@ def psi_kappa(t: float, params: PhiPsiParams, tol: float = 1e-10) -> float:
 
 
 def sequence_power_margin(a: np.ndarray, kappa: float):
-    """(lhs, rhs) of the power-sum bound for one nonnegative sequence."""
+    """(lhs, rhs) of the power-sum bound for one nonnegative sequence, or
+    arrays of them, row by row, for a 2-d batch of sequences (trailing
+    zeros pad the shorter ones without changing their sums)."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ParameterError("need a 1-d nonempty sequence")
+    if a.ndim not in (1, 2) or a.size == 0:
+        raise ParameterError("need a nonempty sequence or a 2-d batch of them")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ParameterError("sequence entries must be finite and nonnegative")
-    total = float(a.sum())
-    if total == 0.0:
+    rows = np.atleast_2d(a)
+    totals = rows.sum(axis=1)
+    if np.any(totals == 0.0):
         raise ParameterError("the bound requires at least one nonzero entry")
-    prefix = np.cumsum(a)
-    live = a > 0
-    lhs = float(np.sum(a[live] * prefix[live] ** (kappa - 1.0)))
-    rhs = total**kappa / min(kappa, 1.0)
+    prefix = np.cumsum(rows, axis=1)
+    # a = 0 terms contribute nothing; give them base 1 to avoid 0^(k-1)
+    lhs = (rows * np.where(rows > 0, prefix, 1.0) ** (kappa - 1.0)).sum(axis=1)
+    rhs = totals**kappa / min(kappa, 1.0)
+    if a.ndim == 1:
+        return float(lhs[0]), float(rhs[0])
     return lhs, rhs
 
 
-def _default_s_grid(n_points: int) -> np.ndarray:
+def _s_grid() -> np.ndarray:
     """Grid in (0,1): dyadic decay to 2^-40 plus an approach to 1."""
-    decay = 2.0 ** np.linspace(-40.0, -1.0, n_points)
-    near_one = 1.0 - 10.0 ** np.linspace(-12.0, -0.31, n_points)
+    decay = 2.0 ** np.linspace(-40.0, -1.0, S_GRID_POINTS)
+    near_one = 1.0 - 10.0 ** np.linspace(-12.0, -0.31, S_GRID_POINTS)
     return np.unique(np.concatenate([decay, near_one]))
 
 
@@ -148,18 +158,15 @@ def _refine_grid(grid: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([grid, mids]))
 
 
-def _refined_sup_report(check: str, parameters: dict, sup_on, s_grid,
-                        stability_tol: float, t0: float) -> VerificationReport:
-    """Sup of ``sup_on`` over an s grid in (0,1) (default 200 points) and
-    over its geometric refinement: "pass" when the two agree within
-    ``stability_tol`` relatively (the constant is stable), "not-decided"
-    otherwise."""
-    grid = _default_s_grid(200) if s_grid is None else np.asarray(s_grid, float)
-    if np.any((grid <= 0) | (grid >= 1)):
-        raise ParameterError("s grid must lie in (0,1)")
+def _refined_sup_report(check: str, parameters: dict, sup_on,
+                        t0: float) -> VerificationReport:
+    """Sup of ``sup_on`` over the s grid in (0,1) and over its geometric
+    refinement: "pass" when the two agree within STABILITY_TOL relatively
+    (the constant is stable), "not-decided" otherwise."""
+    grid = _s_grid()
     sup1 = sup_on(grid)
     sup2 = sup_on(_refine_grid(grid))
-    stable = abs(sup2 - sup1) <= stability_tol * max(sup2, 1e-300)
+    stable = abs(sup2 - sup1) <= STABILITY_TOL * max(sup2, 1e-300)
     return VerificationReport(
         check=check, parameters={**parameters, "n_points": int(grid.size)},
         lhs=sup2, rhs=sup1, ratio=safe_ratio(sup2, max(sup1, 1e-300)),
@@ -189,14 +196,13 @@ def _power_ratio_small_s(z: complex, r: float, s: np.ndarray) -> np.ndarray:
     return np.abs(quot) * _log_s_plus_inv(s)
 
 
-def log_damping_complex_check(z: complex, r: float, s_grid=None,
-                              stability_tol: float = 0.1) -> VerificationReport:
+def log_damping_complex_check(z: complex, r: float) -> VerificationReport:
     """Empirical C_z for the log-damping bound, both sides of s = 1.
 
     Evaluates |(s^z-1)/log(s^r)| * log(s+1/s) on a grid in (0,1) and its
     reciprocal image in (1,inf) with s^-z, takes the sup, and re-evaluates
     on a geometrically refined grid.  Verdict "pass" when the two sups
-    agree within ``stability_tol`` relatively (the constant is stable),
+    agree within STABILITY_TOL relatively (the constant is stable),
     "not-decided" otherwise.
     """
     t0 = time.perf_counter()
@@ -213,11 +219,10 @@ def log_damping_complex_check(z: complex, r: float, s_grid=None,
         return float(_power_ratio_small_s(z, r, g).max())
 
     return _refined_sup_report("log-damping-complex", {"z": repr(z), "r": r},
-                               sup_on, s_grid, stability_tol, t0)
+                               sup_on, t0)
 
 
-def log_damping_imag_check(t: float, r: float, s_grid=None,
-                           stability_tol: float = 0.1) -> VerificationReport:
+def log_damping_imag_check(t: float, r: float) -> VerificationReport:
     """Empirical C_t for the purely imaginary exponent s^(it), s != 1."""
     t0 = time.perf_counter()
     if not np.isfinite(t):
@@ -232,39 +237,11 @@ def log_damping_imag_check(t: float, r: float, s_grid=None,
         lhs = 2.0 * np.abs(np.sin(t * ls / 2.0)) / (r * np.abs(ls))
         return float(np.max(lhs * _log_s_plus_inv(g)))
 
-    return _refined_sup_report("log-damping-imag", {"t": t, "r": r},
-                               sup_on, s_grid, stability_tol, t0)
+    return _refined_sup_report("log-damping-imag", {"t": t, "r": r}, sup_on, t0)
 
 
-def summation_bound_check(a, params: PhiPsiParams) -> VerificationReport:
-    """Empirical ratio of the Phi/Psi summation bound on one sequence."""
-    t0 = time.perf_counter()
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ParameterError("need a 1-d nonempty sequence")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ParameterError("sequence entries must be finite and nonnegative")
-    powers = a**params.r
-    total = float(powers.sum())
-    if total == 0.0:
-        raise ParameterError("the bound requires at least one nonzero entry")
-    prefix = np.cumsum(powers) ** (1.0 / params.r)
-    live = a > 0
-    lhs = float(np.sum((a[live] * phi_kappa(prefix[live], params)) ** params.r))
-    rhs = psi_kappa(total, params)
-    ratio = safe_ratio(lhs, rhs)
-    return VerificationReport(
-        check="phi-summation-bound",
-        parameters={"kappa": params.kappa, "r": params.r, "n_terms": int(a.size)},
-        lhs=lhs, rhs=rhs, ratio=ratio, verdict="not-decided",
-        empirical_constant=ratio,
-        runtime=time.perf_counter() - t0,
-    )
-
-
-def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams,
-                         slack: float = 1e-8) -> VerificationReport:
-    """Exact tail bound for Psi_kappa(t^r) outside [a, 1/a]."""
+def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams) -> VerificationReport:
+    """Exact tail bound for Psi_kappa(t^r) outside [a, 1/a], up to EXACT_SLACK."""
     t0 = time.perf_counter()
     if not 0.0 < a < 1.0:
         raise ParameterError(f"need a in (0,1), got {a}")
@@ -275,10 +252,10 @@ def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams,
     log_a_term = float(_log_s_plus_inv(a ** (1.0 / r)))
     rhs = (a ** ((r - 1.0) * kappa) + log_a_term**-r) * t ** (r * kappa) \
         / (kappa * np.log(2.0) ** r)
-    verdict = "pass" if lhs <= rhs * (1.0 + slack) else "fail"
+    verdict = "pass" if lhs <= rhs * (1.0 + EXACT_SLACK) else "fail"
     return VerificationReport(
         check="psi-tail-bound",
-        parameters={"kappa": kappa, "r": r, "t": t, "a": a, "slack": slack},
+        parameters={"kappa": kappa, "r": r, "t": t, "a": a, "slack": EXACT_SLACK},
         lhs=lhs, rhs=rhs, ratio=safe_ratio(lhs, rhs), verdict=verdict,
         runtime=time.perf_counter() - t0,
     )
@@ -302,8 +279,7 @@ def _exp_log_modulus(h: complex, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_log_bound_check(h: complex, eps: float, n_points: int = 400,
-                        stability_tol: float = 0.1) -> VerificationReport:
+def exp_log_bound_check(h: complex, eps: float) -> VerificationReport:
     """Empirical C_eps in the holomorphy modulus bound, requires eps > 2|h| > 0.
 
     Scans t on log grids 2^-60..1 and 1..2^60, reports
@@ -324,13 +300,13 @@ def exp_log_bound_check(h: complex, eps: float, n_points: int = 400,
         high = np.max(t_high**-eps * _exp_log_modulus(h, t_high))
         return float(max(low, high))
 
-    sup1 = sup_on(n_points)
-    sup2 = sup_on(2 * n_points)
+    sup1 = sup_on(EXP_LOG_POINTS)
+    sup2 = sup_on(2 * EXP_LOG_POINTS)
     const = sup2 / abs(h)
-    stable = abs(sup2 - sup1) <= stability_tol * max(sup2, 1e-300)
+    stable = abs(sup2 - sup1) <= STABILITY_TOL * max(sup2, 1e-300)
     return VerificationReport(
         check="exp-log-bound",
-        parameters={"h": repr(h), "eps": eps, "n_points": n_points},
+        parameters={"h": repr(h), "eps": eps, "n_points": EXP_LOG_POINTS},
         lhs=sup2, rhs=abs(h), ratio=const,
         verdict="pass" if stable else "not-decided",
         empirical_constant=const,

@@ -27,7 +27,13 @@ import numpy as np
 from .errors import BandCoverageError, ParameterError
 from .grid import GridFunction, GridSpec
 from .lpaley import LPFamily, project_all, reconstruct
-from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norm_array
+from .morrey import (
+    LebesguePair,
+    WindowSampler,
+    _lr_aggregate,
+    _morrey_norm_array,
+    _rescale_exponent,
+)
 from .report import VerificationReport, safe_ratio
 
 __all__ = [
@@ -75,12 +81,16 @@ def coverage_defect(family: LPFamily, f: GridFunction) -> float:
     The family resolves exactly the frequencies |xi| <= 2^(j_max+1); any
     energy outside would be silently lost by band decompositions.
     """
-    coeffs = f.coeffs()
-    total = float(np.sum(np.abs(coeffs) ** 2))
+    modulus = np.abs(f.coeffs())
+    # the fraction is scale free: rescale coefficients whose squares leave float64
+    e = _rescale_exponent(float(modulus.max()), 2.0, modulus.size)
+    if e:
+        modulus = np.ldexp(modulus, -e)
+    total = float(np.sum(modulus**2))
     if total == 0.0:
         return 0.0
     outside = f.spec.frequency_radius > 2.0 ** (family.j_max + 1) * (1 + 1e-12)
-    return float(np.sum(np.abs(coeffs[outside]) ** 2)) / total
+    return float(np.sum(modulus[outside] ** 2)) / total
 
 
 def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:

@@ -109,7 +109,7 @@ def test_collapse_between_kinds(spec256, family_sqrt, sampler256):
 
 
 def test_holomorphy_residual_small(built_family):
-    res = holomorphy_residual(built_family, 0.45 + 0.3j, n_probes=8, seed=3)
+    res = holomorphy_residual(built_family, 0.45 + 0.3j, seed=3)
     assert res < 1e-6
 
 

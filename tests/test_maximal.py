@@ -68,9 +68,8 @@ def test_vector_maximal_verdicts(spec64):
     fs = [tk.random_bandlimited(spec64, 2, s) for s in (1, 2, 3)]
     pq = tk.LebesguePair(4.0, 2.0)
     sampler = tk.WindowSampler.dyadic(spec64, "cube")
-    free = tk.vector_maximal_check(fs, 2.0, pq, sampler)
-    assert free.verdict == "not-decided"
-    assert free.ratio >= 1.0  # maximal dominates the identity
+    ratio = tk.vector_maximal_check(fs, 2.0, pq, sampler)
+    assert ratio >= 1.0  # maximal dominates the identity
     with pytest.raises(ParameterError):
         tk.vector_maximal_check(fs, 1.0, pq, sampler)
 
@@ -86,9 +85,8 @@ def test_projection_stability_finite(spec64):
         gs.append(tk.project(family, 2 + i, noise))
     pq = tk.LebesguePair(4.0, 2.0)
     sampler = tk.WindowSampler.dyadic(spec64, "cube")
-    rep = tk.projection_stability_check(gs, family, 2, 2.0, pq, sampler)
-    assert rep.verdict == "not-decided"
-    assert 0.0 < rep.ratio < 10.0
+    ratio = tk.projection_stability_check(gs, family, 2, 2.0, pq, sampler)
+    assert 0.0 < ratio < 10.0
 
 
 def test_multiplier_ratio_zero_function(spec64, family_plain):

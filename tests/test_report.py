@@ -57,10 +57,9 @@ def test_baseline_store_round_trip(tmp_path):
         store.save(path)  # refuses overwrite
     store.save(path, force=True)
     again = tk.BaselineStore.load(path)
-    assert again.get("a") == 1.5
+    assert again.constants == {"a": 1.5, "b": 2.0}
+    assert again.maybe("a") == 1.5
     assert again.maybe("missing") is None
-    with pytest.raises(BaselineError):
-        again.get("missing")
 
 
 def test_baseline_rejects_bad_documents(tmp_path):

@@ -65,6 +65,24 @@ def test_sequence_power_equality_at_kappa_one():
         sequence_power_margin(np.array([1.0, -0.1]), 0.5)
 
 
+def test_sequence_power_batch_rows():
+    # a zero-padded 2-d batch gives each row's own 1-d margin
+    seqs = [[0.2, 1.7, 0.4], [0.0, 3.0], [0.5] * 12, [1e-3]]
+    batch = np.zeros((len(seqs), 12))
+    for i, seq in enumerate(seqs):
+        batch[i, :len(seq)] = seq
+    for kappa in (0.3, 1.0, 2.5):
+        lhs, rhs = sequence_power_margin(batch, kappa)
+        assert lhs.shape == rhs.shape == (len(seqs),)
+        for i, seq in enumerate(seqs):
+            want = sequence_power_margin(np.array(seq), kappa)
+            assert (lhs[i], rhs[i]) == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ParameterError):
+        sequence_power_margin(np.vstack([batch, np.zeros(12)]), 0.5)  # a zero row
+    with pytest.raises(ParameterError):
+        sequence_power_margin(np.ones((2, 2, 2)), 0.5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kappa=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
@@ -75,7 +93,7 @@ def test_sequence_power_equality_at_kappa_one():
 )
 def test_psi_tail_property(kappa, r, a, x, upper):
     t = (1.0 + x) / a if upper else a * x
-    rep = tk.psi_tail_bound_check(t, a, PhiPsiParams(kappa, r), slack=1e-8)
+    rep = tk.psi_tail_bound_check(t, a, PhiPsiParams(kappa, r))
     assert rep.passed, (kappa, r, a, t, rep.ratio)
 
 
@@ -128,8 +146,9 @@ def test_exp_log_bound_requires_margin():
 def test_summation_bound_gating():
     a = np.array([0.5, 0.1, 2.0, 0.7])
     params = PhiPsiParams(0.5, 2.0)
-    free = tk.summation_bound_check(a, params)
-    assert free.verdict == "not-decided"
-    assert free.empirical_constant == free.lhs / free.rhs
+    prefix = np.cumsum(a**params.r) ** (1.0 / params.r)
+    lhs = float(np.sum((a * phi_kappa(prefix, params)) ** params.r))
+    ratio = tk.summation_ratio(a, params)
+    assert ratio == lhs / psi_kappa(float(np.sum(a**params.r)), params)
     with pytest.raises(ParameterError):
-        tk.summation_bound_check(np.zeros(3), params)
+        tk.summation_ratio(np.zeros(3), params)

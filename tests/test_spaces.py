@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ def test_tlm_norm_decomposition(spec256, family_plain, sampler256, f_band4):
     agg = tk.GridFunction(spec256, tail_stack.sum(axis=0) ** (1.0 / params.r))
     high = tk.morrey_norm(agg, params.pair, sampler256)
     assert got == pytest.approx(low + high, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+@pytest.mark.parametrize("r", [2.0, np.inf])
+def test_tlm_norm_homogeneous_near_float_limits(spec64, c, r):
+    # block powers of these samples leave float64; the norm must not
+    f = tk.random_bandlimited(spec64, 3, 99)
+    family = tk.build_family(spec64, 4, "plain")
+    params = tk.SpaceParams(4.0, 2.0, r, 0.5)
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = tk.tlm_norm(c * f, family, params, sampler)
+    want = c * tk.tlm_norm(f, family, params, sampler)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_coverage_guard(spec256):

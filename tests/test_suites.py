@@ -18,7 +18,7 @@ def test_morrey_suite_passes(small_cfg):
 
 def test_scalar_exact_suite_small():
     cfg = tk.SuiteConfig(points=64, j_max=4, n_functions=4)
-    reports = tk.run_scalar_exact_suite(cfg, n_sequences=500)
+    reports = tk.run_scalar_exact_suite(cfg)
     assert all(r.verdict == "pass" for r in reports)
     assert all(r.details["failures"] == 0 for r in reports)
 
