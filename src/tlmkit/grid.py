@@ -15,6 +15,7 @@ this package is radial, so the label sign never matters.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,9 +39,26 @@ __all__ = [
 _HEADER = struct.Struct("<IId")  # dim, points per axis, domain length
 _ECHO_CHARS = 80  # longest bad CSV row quoted back in an error
 
+# binary exponents of float64's normal range, 2^-1022 .. 2^1024
+_MIN_EXP = np.finfo(np.float64).minexp
+_MAX_EXP = np.finfo(np.float64).maxexp
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _rescale_exponent(peak: float, power: float, growth: float) -> int:
+    """0 while peak**power, and sums of it up to ``growth`` times larger,
+    stay in float64's normal range; otherwise the binary exponent e of the
+    peak (peak = m 2^e, 1/2 <= m < 1).  Scaling by 2^-e is exact, and the
+    norms built on these powers are 1-homogeneous, so 2^e scales back."""
+    if peak == 0.0:
+        return 0
+    top = power * math.log2(peak)
+    if _MIN_EXP <= top and top + math.log2(growth) < _MAX_EXP:
+        return 0
+    return math.frexp(peak)[1]
 
 
 @dataclass(frozen=True)
@@ -176,6 +194,13 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+def _ldexp(f: GridFunction, e: int) -> GridFunction:
+    """f * 2^e, exact at any e: real and imaginary parts go through np.ldexp."""
+    def scale(arr):
+        return None if arr is None else np.ldexp(arr.view(np.float64), e).view(np.complex128)
+    return GridFunction(f.spec, scale(f.values), scale(f.spectrum))
+
+
 def _check_same_spec(a, b) -> None:
     if a.spec != b.spec:
         raise GridMismatchError(f"grid mismatch: {a.spec} vs {b.spec}")
@@ -194,6 +219,9 @@ def lp_norm(f: GridFunction, p: float) -> float:
     a = f.modulus()
     if np.isinf(p):
         return float(a.max())
+    e = _rescale_exponent(float(a.max()), p, a.size)
+    if e:
+        return float(np.ldexp(lp_norm(GridFunction(f.spec, np.ldexp(a, -e)), p), e))
     return float((np.sum(a**p) * f.spec.cell_volume) ** (1.0 / p))
 
 

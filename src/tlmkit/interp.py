@@ -34,17 +34,23 @@ and both reduce to f at z = theta.
 Powers of vanishing bases follow one convention: 0^w = 0 for every w.
 Since |2^{nu s} b_nu| <= V_nu pointwise, a vanishing base always comes
 with a vanishing cofactor, so the convention never changes a value; it
-only keeps intermediates finite.
+only keeps intermediates finite.  The family caches log V_nu (and, for
+four-exponent, log|b_nu| and sgn b_nu) where both bases are nonzero, so
+an evaluation is exponentials, j_max + 1 FFTs and one inverse FFT.
 
 G(z) integrates F along the straight segment from theta by Gauss-Legendre
 quadrature; the integrand is entire in z pointwise, so doubling the node
 count is a spectral-accuracy cross-check (enforced by default, to QUAD_TOL).
+F is linear in the quadrature weights, so a rule is one weighted pass of
+family_F over all its nodes: the band sums of node exponentials go through
+the transforms once, not once per node.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +85,7 @@ QUAD_TOL = 1e-9  # relative l2 gap allowed between the n- and 2n-node rules
 HOLOMORPHY_PROBES = 20  # random functionals of the Cauchy-Riemann probe
 HOLOMORPHY_STEP = 2e-4  # stencil step of its difference quotients
 HOLDER_SLACK = 1e-6  # relative room of the norm interpolation inequality
+_NODE_BLOCK_ELEMENTS = 1 << 18  # (nodes x live points) per block of exponentials
 
 
 @dataclass(frozen=True)
@@ -144,26 +151,51 @@ def rho(setup: InterpSetup, k: int, z: complex) -> complex:
     return (1.0 - z) * lo + z * hi
 
 
-def _pow0(base: np.ndarray, w: complex) -> np.ndarray:
-    """base**w with the 0^w = 0 convention (base real nonnegative)."""
-    out = np.zeros(base.shape, dtype=np.complex128)
-    live = base > 0.0
-    if np.any(live):
-        out[live] = np.exp(w * np.log(base[live]))
-    return out
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@dataclass(frozen=True)
+class _Band:
+    """What the exponentials of one band need, on the points where it lives.
+
+    live: flat indices where both b_nu and V_nu are nonzero; elsewhere the
+    band's term is zero under the 0^w = 0 convention.  carrier: b_nu there
+    (exponent-shift) or sgn b_nu (four-exponent).  logs: the rows log V_nu
+    (both kinds) and log|b_nu| (four-exponent) there.
+    """
+
+    live: np.ndarray
+    carrier: np.ndarray
+    logs: np.ndarray
 
 
 @dataclass(frozen=True)
 class AnalyticFamily:
-    """Cached blocks and aggregates of the base function for one setup."""
+    """Cached band logs and aggregates of the base function for one setup."""
 
     kind: str
     setup: InterpSetup
     lp_family: LPFamily
     base: GridFunction
-    blocks: tuple  # complex arrays phi_nu(D) base
     aggregates: tuple  # real arrays V_nu
+    bands: tuple  # one _Band per block phi_nu(D) base
     base_norm: float  # norm of the stored base (1 after pre-scaling)
+
+
+def _band(kind: str, block: np.ndarray, aggregate: np.ndarray) -> _Band:
+    b, v = block.ravel(), aggregate.ravel()
+    mod = np.abs(b)
+    live = np.flatnonzero((v > 0.0) & (mod > 0.0))
+    log_v = np.log(v[live])
+    if kind == "exponent-shift":
+        return _Band(live, b[live], log_v[np.newaxis])
+    return _Band(live, b[live] / mod[live], np.stack([log_v, np.log(mod[live])]))
 
 
 def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
@@ -193,56 +225,76 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     for j, b in enumerate(blocks):
         running = running + (2.0 ** (j * mid.s) * np.abs(b)) ** mid.r
         aggregates.append(running ** (1.0 / mid.r))
-    return AnalyticFamily(kind, setup, lp_family, base,
-                          blocks, tuple(aggregates), base_norm)
+    bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
+    return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),
+                          bands, base_norm)
 
 
-def _exponent_shift_weight(fam: AnalyticFamily, z: complex) -> complex:
+def _node_exponents(fam: AnalyticFamily, z: np.ndarray) -> tuple:
+    """Exponents at the nodes z: of 2^nu, of ||f||, and one per band log row."""
     setup = fam.setup
-    return setup.mid.p * ((1.0 - z) / setup.end0.p + z / setup.end1.p) - 1.0
-
-
-def family_F(fam: AnalyticFamily, z: complex) -> GridFunction:
-    """Evaluate the analytic family at z (reduces to the base at theta)."""
-    z = complex(z)
-    spec = fam.base.spec
-    mults = fam.lp_family.multipliers
-    acc = np.zeros(spec.shape, dtype=np.complex128)
     if fam.kind == "exponent-shift":
-        e = _exponent_shift_weight(fam, z)
-        for nu, b in enumerate(fam.blocks):
-            term = _pow0(fam.aggregates[nu], e) * b
-            acc += mults[nu] * np.fft.fftn(term, norm="ortho")
+        e = setup.mid.p * ((1.0 - z) / setup.end0.p + z / setup.end1.p) - 1.0
+        zero = np.zeros_like(e)
+        return zero, zero, (e,)
+    return (rho(setup, 1, z), rho(setup, 3, z),
+            (rho(setup, 2, z), rho(setup, 4, z)))
+
+
+def family_F(fam: AnalyticFamily, z, weights=None) -> GridFunction:
+    """The analytic family at z, or the weighted sum sum_k w_k F(z_k).
+
+    Without ``weights`` this is F(z), the batch of one node (it reduces to
+    the base at theta).  With ``weights``, z holds the nodes z_k.  F is
+    linear in the node weights, so each band sums w_k times its node
+    exponentials pointwise before its one FFT, and one inverse FFT closes
+    the pass: j_max + 2 transforms for the whole batch.  The exponentials
+    run in blocks of at most _NODE_BLOCK_ELEMENTS (nodes x live points).
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if weights is None:
+        weights = np.ones(z.shape)
+    weights = np.asarray(weights, dtype=np.float64)
+    if z.ndim != 1 or weights.shape != z.shape:
+        raise ParameterError(
+            f"need one weight per node, got {weights.shape} weights for {z.shape} nodes"
+        )
+    spec = fam.base.spec
+    exp_2, exp_norm, row_exps = _node_exponents(fam, z)
+    if fam.base_norm > 0.0:
+        coef = weights * np.exp(exp_norm * np.log(fam.base_norm))
     else:
-        setup = fam.setup
-        e1, e2, e3, e4 = (rho(setup, k, z) for k in (1, 2, 3, 4))
-        norm_factor = complex(_pow0(np.array([fam.base_norm]), e3)[0])
-        for nu, b in enumerate(fam.blocks):
-            mod = np.abs(b)
-            signum = np.divide(b, mod, out=np.zeros_like(b), where=mod > 0)
-            term = (
-                np.exp(e1 * nu * np.log(2.0))
-                * norm_factor
-                * _pow0(fam.aggregates[nu], e2)
-                * signum
-                * _pow0(mod, e4)
-            )
-            acc += mults[nu] * np.fft.fftn(term, norm="ortho")
+        coef = np.zeros(z.shape, dtype=np.complex128)  # 0^w = 0
+    acc = np.zeros(spec.shape, dtype=np.complex128)
+    for nu, (band, mult) in enumerate(zip(fam.bands, fam.lp_family.multipliers)):
+        if band.live.size == 0:
+            continue
+        band_coef = coef * np.exp(exp_2 * nu * np.log(2.0))
+        step = max(1, _NODE_BLOCK_ELEMENTS // band.live.size)
+        summed = np.zeros(band.live.size, dtype=np.complex128)
+        for lo in range(0, z.size, step):
+            block = slice(lo, lo + step)
+            expo = np.multiply.outer(row_exps[0][block], band.logs[0])
+            for e, log in zip(row_exps[1:], band.logs[1:]):
+                expo += np.multiply.outer(e[block], log)
+            np.exp(expo, out=expo)
+            # not BLAS: a threaded matrix product is far slower at these sizes
+            summed += np.einsum("k,kn->n", band_coef[block], expo)
+        term = np.zeros(spec.size, dtype=np.complex128)
+        term[band.live] = band.carrier * summed
+        acc += mult * np.fft.fftn(term.reshape(spec.shape), norm="ortho")
     values = np.fft.ifftn(acc, norm="ortho")
     if not np.all(np.isfinite(values)):
-        raise ArithmeticError(f"family value at z={z} is not finite")
+        where = f"z={z[0]}" if z.size == 1 else f"{z.size} nodes z={z[0]}..{z[-1]}"
+        raise ArithmeticError(f"family value at {where} is not finite")
     return GridFunction(spec, values, spectrum=acc)
 
 
 def _segment_rule(fam: AnalyticFamily, z_from: complex, z_to: complex,
                   n_nodes: int) -> np.ndarray:
-    spec = fam.base.spec
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    for x, w in zip(nodes, weights):
-        point = z_from + (z_to - z_from) * (x + 1.0) / 2.0
-        acc += w * family_F(fam, point).values
-    return acc * (z_to - z_from) / 2.0
+    nodes, weights = _gauss_legendre(n_nodes)
+    points = z_from + (z_to - z_from) * (nodes + 1.0) / 2.0
+    return family_F(fam, points, weights).values * (z_to - z_from) / 2.0
 
 
 def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex,
@@ -250,7 +302,9 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex,
     """integral of F along the straight segment, composite Gauss-Legendre.
 
     Segments longer than 1 are split into unit-length chunks so the node
-    count tracks the oscillation of the integrand up the strip.  With
+    count tracks the oscillation of the integrand up the strip.  Each rule
+    is one weighted ``family_F`` pass over its nodes (F is linear in the
+    node weights), with the nodes cached per count.  With
     ``check`` each chunk is recomputed at double the node count and the
     two must agree to QUAD_TOL relative in the grid l2 norm.
     """

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, _rescale_exponent
 from .lpaley import LPFamily, project_all
 from .morrey import (
     LebesguePair,
@@ -59,6 +59,11 @@ def _maximal_array(modulus: np.ndarray, spec: GridSpec,
             f"the maximal operator needs every center, got center_stride "
             f"{sampler.center_stride}"
         )
+    # window sums reach size times the peak (size^2 inside a ball window's
+    # FFT convolution); averages are 1-homogeneous, so rescale exactly
+    e = _rescale_exponent(float(modulus.max()), 1.0, float(modulus.size) ** 2)
+    if e:
+        return np.ldexp(_maximal_array(np.ldexp(modulus, -e), spec, sampler), e)
     best = modulus.copy()  # the single-point window
     for radius in sampler.radii:
         count = window_count(spec, sampler.window_shape, radius)

@@ -26,14 +26,13 @@ L^p norm up to pure summation rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, _rescale_exponent
 
 __all__ = [
     "LebesguePair",
@@ -50,10 +49,6 @@ _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
 # inclusive window membership: points at distance exactly R belong
 _EDGE_TOL = 1.0 + 1e-12
-
-# binary exponents of float64's normal range, 2^-1022 .. 2^1024
-_MIN_EXP = np.finfo(np.float64).minexp
-_MAX_EXP = np.finfo(np.float64).maxexp
 
 
 @dataclass(frozen=True)
@@ -201,19 +196,6 @@ def _shared_spec(fs: list) -> GridSpec:
     if any(f.spec != spec for f in fs):
         raise ParameterError("functions live on different grids")
     return spec
-
-
-def _rescale_exponent(peak: float, power: float, growth: float) -> int:
-    """0 while peak**power, and sums of it up to ``growth`` times larger,
-    stay in float64's normal range; otherwise the binary exponent e of the
-    peak (peak = m 2^e, 1/2 <= m < 1).  Scaling by 2^-e is exact, and the
-    norms built on these powers are 1-homogeneous, so 2^e scales back."""
-    if peak == 0.0:
-        return 0
-    top = power * math.log2(peak)
-    if _MIN_EXP <= top and top + math.log2(growth) < _MAX_EXP:
-        return 0
-    return math.frexp(peak)[1]
 
 
 def _lr_aggregate(stack, r: float) -> np.ndarray:

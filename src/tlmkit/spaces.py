@@ -25,15 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandCoverageError, ParameterError
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, _ldexp, _rescale_exponent
 from .lpaley import LPFamily, project_all, reconstruct
-from .morrey import (
-    LebesguePair,
-    WindowSampler,
-    _lr_aggregate,
-    _morrey_norm_array,
-    _rescale_exponent,
-)
+from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norm_array
 from .report import VerificationReport, safe_ratio
 
 __all__ = [
@@ -103,6 +97,12 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
 
 def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> list:
     """[|2^{js} phi_j(D) f|] for j = 0..j_max, once f is band-covered."""
+    # the transforms pass through up to size times the peak sample; the
+    # blocks are linear in f, so samples that close to float64's limits
+    # are scaled by an exact power of two and the blocks scaled back
+    e = _rescale_exponent(float(f.modulus().max()), 1.0, f.spec.size)
+    if e:
+        return [np.ldexp(b, e) for b in _weighted_blocks(family, _ldexp(f, -e), s)]
     ensure_band_covered(family, f)
     blocks = project_all(family, f)
     return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]

@@ -57,6 +57,18 @@ def small_store(small_cfg):
     return tk.calibrate_constants(small_cfg)
 
 
+def spike_field(spec):
+    """A finite real field with one sample at 1.7e308, next to float64's limit."""
+    values = tk.random_bandlimited(spec, 3, 99).values.copy()
+    values[5] = 1.7e308
+    return tk.GridFunction(spec, values)
+
+
+def scaled(f, e):
+    """f * 2^e for a real field, exact while the samples stay normal."""
+    return tk.GridFunction(f.spec, np.ldexp(f.values.real, e))
+
+
 def brute_force_morrey(f, pq, sampler):
     """Independent reimplementation of the windowed norm by direct loops.
 

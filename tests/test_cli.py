@@ -217,16 +217,18 @@ def test_report_json_schema(capsys, tmp_path):
     assert all("check" in r and "verdict" in r for r in doc["checks"])
 
 
-def test_interp_demo_runs(capsys, tmp_path):
+@pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
+def test_interp_demo_runs(capsys, tmp_path, kind):
     out_path = tmp_path / "demo.json"
-    code, out, _ = run(["interp-demo", "--out", str(out_path)] + SMALL, capsys)
+    code, out, _ = run(["interp-demo", "--kind", kind, "--out", str(out_path)] + SMALL,
+                       capsys)
     assert code == 0
     assert "reconstruction" in out
     assert "0 failed" in out
     doc = json.loads(out_path.read_text())
     n_printed = sum(1 for line in out.splitlines() if line.startswith("["))
     assert doc["n_checks"] == len(doc["checks"]) == n_printed == 6
-    assert doc["config"]["kind"] == "exponent-shift"
+    assert doc["config"]["kind"] == kind
 
 
 def test_version_flag(capsys):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import tlmkit as tk
+from conftest import scaled, spike_field
 from tlmkit.errors import ParameterError
 
 
@@ -111,6 +114,20 @@ def test_lp_norm_variants(spec64):
         tk.lp_norm(f, 0.0)
     with pytest.raises(ParameterError):
         tk.lp_norm(f, -np.inf)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5])
+def test_lp_norm_homogeneous_near_float_limits(spec64, p):
+    # p-th powers of these samples leave float64; the norm must not
+    f = tk.random_bandlimited(spec64, 3, 99)
+    spike = spike_field(spec64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for c in (1e200, 1e-200):
+            assert tk.lp_norm(c * f, p) == pytest.approx(c * tk.lp_norm(f, p),
+                                                         rel=1e-12, abs=0)
+        want = np.ldexp(tk.lp_norm(scaled(spike, -1000), p), 1000)
+        assert tk.lp_norm(spike, p) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_arithmetic_and_mismatch(spec64, spec256):

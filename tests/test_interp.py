@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tlmkit as tk
+from tlmkit import interp
 from tlmkit.errors import ParameterError
 from tlmkit.interp import (
     family_F,
@@ -106,6 +107,39 @@ def test_collapse_between_kinds(spec256, family_sqrt, sampler256):
         a = family_F(fam_a, z).values
         b = family_F(fam_b, z).values
         assert np.max(np.abs(a - b)) < 1e-12 * np.abs(a).max()
+
+
+def zero_band_function(spec):
+    """cos x + cos 40x, exactly: its blocks on bands 1-3 and 6 vanish."""
+    coeffs = np.zeros(spec.shape, dtype=np.complex128)
+    for k in (1, 40):
+        coeffs[k] = coeffs[-k] = np.sqrt(spec.size) / 2.0
+    return tk.GridFunction(spec, np.fft.ifftn(coeffs, norm="ortho"), spectrum=coeffs)
+
+
+@pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
+@pytest.mark.parametrize("base", ["bandlimited", "zero-band"])
+def test_weighted_batch_matches_node_sum(spec256, family_sqrt, sampler256,
+                                         monkeypatch, kind, base):
+    if base == "zero-band":
+        f = zero_band_function(spec256)
+        blocks = tk.project_all(family_sqrt, f)
+        assert all(np.all(blocks[j].values == 0.0) for j in (1, 2, 3, 6))
+    else:
+        f = tk.random_bandlimited(spec256, 4, 77, real_output=False)
+    fam = tk.build_analytic_family(kind, general_setup(), f, family_sqrt, sampler256)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-0.5, 1.5, 24) + 1j * rng.uniform(-3.0, 3.0, 24)
+    w = rng.standard_normal(24)
+    want = sum(wk * family_F(fam, zk).values for zk, wk in zip(z, w))
+    scale = np.linalg.norm(want)
+    assert scale > 0.0
+    assert np.linalg.norm(family_F(fam, z, w).values - want) <= 1e-13 * scale
+    # a budget of a few nodes per block of exponentials gives the same sum
+    monkeypatch.setattr(interp, "_NODE_BLOCK_ELEMENTS", 3 * spec256.size)
+    assert np.linalg.norm(family_F(fam, z, w).values - want) <= 1e-13 * scale
+    with pytest.raises(ParameterError):
+        family_F(fam, z, w[:-1])
 
 
 def test_holomorphy_residual_small(built_family):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import tlmkit as tk
+from conftest import scaled, spike_field
 from tlmkit.errors import ParameterError
 from tlmkit.morrey import window_sum
 
@@ -96,3 +99,20 @@ def test_multiplier_ratio_zero_function(spec64, family_plain):
     assert tk.multiplier_maximal_ratio(zero, family, sampler) == 0.0
     f = tk.random_bandlimited(spec64, 2, 3)
     assert tk.multiplier_maximal_ratio(f, family, sampler) > 0.0
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+def test_maximal_homogeneous_near_float_limits(spec64, shape):
+    # window sums of the spike leave float64; the maximal function must not
+    f = tk.random_bandlimited(spec64, 3, 99)
+    spike = spike_field(spec64)
+    sampler = tk.WindowSampler.dyadic(spec64, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for c in (1e200, 1e-200):
+            got = tk.hl_maximal(c * f, sampler).values.real
+            want = c * tk.hl_maximal(f, sampler).values.real
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+        got = tk.hl_maximal(spike, sampler).values.real
+        want = np.ldexp(tk.hl_maximal(scaled(spike, -1000), sampler).values.real, 1000)
+        assert np.max(np.abs(got - want) / want) <= 1e-12

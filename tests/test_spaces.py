@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tlmkit as tk
+from conftest import scaled, spike_field
 from tlmkit.errors import BandCoverageError, ParameterError
 from tlmkit.spaces import coverage_defect, ensure_band_covered
 
@@ -96,6 +97,22 @@ def test_tlm_norm_homogeneous_near_float_limits(spec64, c, r):
         warnings.simplefilter("error", RuntimeWarning)
         got = tk.tlm_norm(c * f, family, params, sampler)
     want = c * tk.tlm_norm(f, family, params, sampler)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [2.0, np.inf])
+@pytest.mark.parametrize("s", [0.0, -0.5])
+def test_tlm_norm_spike_near_float_limit(spec64, r, s):
+    # the band transforms of this field leave float64; the norm must not.
+    # With s <= 0 no weighted block exceeds the peak sample.
+    spike = spike_field(spec64)
+    family = tk.build_family(spec64, 4, "plain")
+    params = tk.SpaceParams(4.0, 2.0, r, s)
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = tk.tlm_norm(spike, family, params, sampler)
+        want = np.ldexp(tk.tlm_norm(scaled(spike, -1000), family, params, sampler), 1000)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
