@@ -17,12 +17,7 @@ import numpy as np
 from . import __version__
 from .errors import BandCoverageError, BaselineError, ParameterError, QuadratureError
 from .grid import GridFunction, GridSpec, random_bandlimited, read_binary, read_csv
-from .interp import (
-    boundary_lipschitz_check,
-    build_analytic_family,
-    global_growth_check,
-    make_setup,
-)
+from .interp import build_analytic_family, make_setup
 from .lpaley import build_family
 from .morrey import LebesguePair, WindowSampler, morrey_norm
 from .report import BaselineStore, report_payload, write_json
@@ -36,7 +31,9 @@ from .suites import (
     SuiteConfig,
     anchor_report,
     calibrate_constants,
+    growth_report,
     holomorphy_report,
+    lipschitz_report,
     reconstruction_report,
     run_maximal_suite,
     run_scalar_empirical_suite,
@@ -253,10 +250,9 @@ def cmd_interp_demo(args) -> int:
     reports = [reconstruction_report([fam]), anchor_report([fam]),
                holomorphy_report(fam, args.seed)]
     pairs = [(0.0, t) for t in (0.05, 0.2, 0.5, 1.0)]
-    for side in (0, 1):
-        reports.append(boundary_lipschitz_check(fam, side, pairs, sampler))
+    reports += [lipschitz_report([fam], side, pairs, sampler, None) for side in (0, 1)]
     zs = [setup.theta + 1j * t for t in (-2.0, -0.5, 0.5, 2.0)]
-    reports.append(global_growth_check(fam, zs, sampler))
+    reports.append(growth_report(fam, zs, sampler, None))
     return _finish(args, reports, {"theta": setup.theta, "kind": args.kind,
                                    "end0": vars(setup.end0), "end1": vars(setup.end1),
                                    "mid": vars(setup.mid)})

@@ -61,6 +61,14 @@ def _rescale_exponent(peak: float, power: float, growth: float) -> int:
     return math.frexp(peak)[1]
 
 
+def _ldexp_back(arr, e: int, what: str):
+    """arr * 2^e, undoing a _rescale_exponent scaling of nonnegative values;
+    ParameterError, naming ``what``, if one would leave float64's range."""
+    if math.frexp(float(np.max(arr)))[1] + e > _MAX_EXP:
+        raise ParameterError(f"{what} overflows float64")
+    return np.ldexp(arr, e)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic lattice on [0, L)^dim.
@@ -221,7 +229,8 @@ def lp_norm(f: GridFunction, p: float) -> float:
         return float(a.max())
     e = _rescale_exponent(float(a.max()), p, a.size)
     if e:
-        return float(np.ldexp(lp_norm(GridFunction(f.spec, np.ldexp(a, -e)), p), e))
+        value = lp_norm(GridFunction(f.spec, np.ldexp(a, -e)), p)
+        return float(_ldexp_back(value, e, f"the L^{p:g} norm"))
     return float((np.sum(a**p) * f.spec.cell_volume) ** (1.0 / p))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, GridSpec, _rescale_exponent
+from .grid import GridFunction, GridSpec, _ldexp, _rescale_exponent
 from .lpaley import LPFamily, project_all
 from .morrey import (
     LebesguePair,
@@ -137,8 +137,13 @@ def multiplier_maximal_ratio(f: GridFunction, family: LPFamily,
     wherever f is not identically zero; returns 0 for the zero function.
     """
     modulus = f.modulus()
-    if float(modulus.max()) == 0.0:
+    peak = float(modulus.max())
+    if peak == 0.0:
         return 0.0
+    # 0-homogeneous: rescale samples whose transforms would leave float64
+    e = _rescale_exponent(peak, 1.0, f.spec.size)
+    if e:
+        return multiplier_maximal_ratio(_ldexp(f, -e), family, sampler)
     maximal = _maximal_array(modulus, f.spec, sampler)
     blocks = project_all(family, f)
     worst = 0.0

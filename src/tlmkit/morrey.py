@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, GridSpec, _rescale_exponent
+from .grid import GridFunction, GridSpec, _ldexp_back, _rescale_exponent
 
 __all__ = [
     "LebesguePair",
@@ -208,7 +208,7 @@ def _lr_aggregate(stack, r: float) -> np.ndarray:
         return arr.max(axis=0)
     e = _rescale_exponent(float(arr.max()), r, len(arr))
     if e:
-        return np.ldexp(_lr_aggregate(np.ldexp(arr, -e), r), e)
+        return _ldexp_back(_lr_aggregate(np.ldexp(arr, -e), r), e, f"an l^{r:g} aggregate")
     return (arr**r).sum(axis=0) ** (1.0 / r)
 
 
@@ -225,7 +225,7 @@ def _morrey_norm_array(modulus: np.ndarray, spec: GridSpec, pq: LebesguePair,
     e = _rescale_exponent(float(modulus.max()), pq.q, float(modulus.size) ** 2)
     if e:
         value = _morrey_norm_array(np.ldexp(modulus, -e), spec, pq, sampler)
-        return float(np.ldexp(value, e))
+        return float(_ldexp_back(value, e, "a Morrey norm"))
     g = modulus**pq.q
     hn = spec.cell_volume
     vol_exp = 1.0 / pq.p - 1.0 / pq.q

@@ -28,12 +28,12 @@ scalar estimates.  Writing L(s) = log(s + 1/s) (minimum log 2 at s = 1):
 
 Psi_kappa is evaluated by adaptive quadrature after the substitution
 s = u^2, which tames the s^(kappa-1) endpoint; the integrand's log factor
-is assembled from |log u| directly so it never overflows.
+is assembled from |log u| directly so it never overflows.  The checks
+return numbers; the suites module turns them into verdicts.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +41,6 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ParameterError, QuadratureError
-from .report import VerificationReport, safe_ratio
 
 __all__ = [
     "PhiPsiParams",
@@ -58,8 +57,6 @@ __all__ = [
 _SERIES_CUT = 1e-4
 
 PSI_TOL = 1e-10  # absolute error allowed in the Psi quadrature
-EXACT_SLACK = 1e-8  # relative rounding room of the exact scalar bounds
-STABILITY_TOL = 0.1  # a scanned sup is stable if its refined re-scan agrees this well
 S_GRID_POINTS = 200  # log-damping scan: points per part of the (0,1) grid
 EXP_LOG_POINTS = 400  # holomorphy-modulus scan: points per log grid
 
@@ -146,34 +143,13 @@ def sequence_power_margin(a: np.ndarray, kappa: float):
     return lhs, rhs
 
 
-def _s_grid() -> np.ndarray:
-    """Grid in (0,1): dyadic decay to 2^-40 plus an approach to 1."""
+def _s_grids() -> tuple:
+    """Grid in (0,1), dyadic decay to 2^-40 plus an approach to 1, and its
+    refinement by the geometric mean of each neighbour pair."""
     decay = 2.0 ** np.linspace(-40.0, -1.0, S_GRID_POINTS)
     near_one = 1.0 - 10.0 ** np.linspace(-12.0, -0.31, S_GRID_POINTS)
-    return np.unique(np.concatenate([decay, near_one]))
-
-
-def _refine_grid(grid: np.ndarray) -> np.ndarray:
-    mids = np.sqrt(grid[:-1] * grid[1:])
-    return np.unique(np.concatenate([grid, mids]))
-
-
-def _refined_sup_report(check: str, parameters: dict, sup_on,
-                        t0: float) -> VerificationReport:
-    """Sup of ``sup_on`` over the s grid in (0,1) and over its geometric
-    refinement: "pass" when the two agree within STABILITY_TOL relatively
-    (the constant is stable), "not-decided" otherwise."""
-    grid = _s_grid()
-    sup1 = sup_on(grid)
-    sup2 = sup_on(_refine_grid(grid))
-    stable = abs(sup2 - sup1) <= STABILITY_TOL * max(sup2, 1e-300)
-    return VerificationReport(
-        check=check, parameters={**parameters, "n_points": int(grid.size)},
-        lhs=sup2, rhs=sup1, ratio=safe_ratio(sup2, max(sup1, 1e-300)),
-        verdict="pass" if stable else "not-decided",
-        empirical_constant=sup2,
-        runtime=time.perf_counter() - t0,
-    )
+    grid = np.unique(np.concatenate([decay, near_one]))
+    return grid, np.unique(np.concatenate([grid, np.sqrt(grid[:-1] * grid[1:])]))
 
 
 def _power_ratio_small_s(z: complex, r: float, s: np.ndarray) -> np.ndarray:
@@ -196,16 +172,13 @@ def _power_ratio_small_s(z: complex, r: float, s: np.ndarray) -> np.ndarray:
     return np.abs(quot) * _log_s_plus_inv(s)
 
 
-def log_damping_complex_check(z: complex, r: float) -> VerificationReport:
+def log_damping_complex_check(z: complex, r: float) -> tuple:
     """Empirical C_z for the log-damping bound, both sides of s = 1.
 
     Evaluates |(s^z-1)/log(s^r)| * log(s+1/s) on a grid in (0,1) and its
-    reciprocal image in (1,inf) with s^-z, takes the sup, and re-evaluates
-    on a geometrically refined grid.  Verdict "pass" when the two sups
-    agree within STABILITY_TOL relatively (the constant is stable),
-    "not-decided" otherwise.
+    reciprocal image in (1,inf) with s^-z, and returns the (coarse,
+    refined) pair of sups: on the grid and on its geometric refinement.
     """
-    t0 = time.perf_counter()
     z = complex(z)
     if z.real < 0:
         raise ParameterError(f"need Re(z) >= 0, got {z}")
@@ -218,13 +191,12 @@ def log_damping_complex_check(z: complex, r: float) -> VerificationReport:
     def sup_on(g: np.ndarray) -> float:
         return float(_power_ratio_small_s(z, r, g).max())
 
-    return _refined_sup_report("log-damping-complex", {"z": repr(z), "r": r},
-                               sup_on, t0)
+    return tuple(sup_on(g) for g in _s_grids())
 
 
-def log_damping_imag_check(t: float, r: float) -> VerificationReport:
-    """Empirical C_t for the purely imaginary exponent s^(it), s != 1."""
-    t0 = time.perf_counter()
+def log_damping_imag_check(t: float, r: float) -> tuple:
+    """Empirical C_t for the purely imaginary exponent s^(it), s != 1:
+    the (coarse, refined) pair of sups, as for the complex exponent."""
     if not np.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
     if not 1.0 <= r < np.inf:
@@ -237,12 +209,11 @@ def log_damping_imag_check(t: float, r: float) -> VerificationReport:
         lhs = 2.0 * np.abs(np.sin(t * ls / 2.0)) / (r * np.abs(ls))
         return float(np.max(lhs * _log_s_plus_inv(g)))
 
-    return _refined_sup_report("log-damping-imag", {"t": t, "r": r}, sup_on, t0)
+    return tuple(sup_on(g) for g in _s_grids())
 
 
-def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams) -> VerificationReport:
-    """Exact tail bound for Psi_kappa(t^r) outside [a, 1/a], up to EXACT_SLACK."""
-    t0 = time.perf_counter()
+def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams) -> tuple:
+    """(lhs, rhs) of the exact tail bound for Psi_kappa(t^r) outside [a, 1/a]."""
     if not 0.0 < a < 1.0:
         raise ParameterError(f"need a in (0,1), got {a}")
     if not (0.0 < t < a or t > 1.0 / a):
@@ -252,13 +223,7 @@ def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams) -> Verificati
     log_a_term = float(_log_s_plus_inv(a ** (1.0 / r)))
     rhs = (a ** ((r - 1.0) * kappa) + log_a_term**-r) * t ** (r * kappa) \
         / (kappa * np.log(2.0) ** r)
-    verdict = "pass" if lhs <= rhs * (1.0 + EXACT_SLACK) else "fail"
-    return VerificationReport(
-        check="psi-tail-bound",
-        parameters={"kappa": kappa, "r": r, "t": t, "a": a, "slack": EXACT_SLACK},
-        lhs=lhs, rhs=rhs, ratio=safe_ratio(lhs, rhs), verdict=verdict,
-        runtime=time.perf_counter() - t0,
-    )
+    return lhs, rhs
 
 
 def _exp_log_modulus(h: complex, t: np.ndarray) -> np.ndarray:
@@ -279,14 +244,13 @@ def _exp_log_modulus(h: complex, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_log_bound_check(h: complex, eps: float) -> VerificationReport:
+def exp_log_bound_check(h: complex, eps: float) -> tuple:
     """Empirical C_eps in the holomorphy modulus bound, requires eps > 2|h| > 0.
 
-    Scans t on log grids 2^-60..1 and 1..2^60, reports
-    sup t^(+-eps) |...| / |h| over both ranges, and re-checks on a doubled
-    grid for stability.
+    Scans t on log grids 2^-60..1 and 1..2^60 and returns the (coarse,
+    refined) pair of sup t^(+-eps) |...| / |h| over both ranges, on
+    EXP_LOG_POINTS and on twice as many points per grid.
     """
-    t0 = time.perf_counter()
     h = complex(h)
     if h == 0:
         raise ParameterError("h must be nonzero")
@@ -300,15 +264,4 @@ def exp_log_bound_check(h: complex, eps: float) -> VerificationReport:
         high = np.max(t_high**-eps * _exp_log_modulus(h, t_high))
         return float(max(low, high))
 
-    sup1 = sup_on(EXP_LOG_POINTS)
-    sup2 = sup_on(2 * EXP_LOG_POINTS)
-    const = sup2 / abs(h)
-    stable = abs(sup2 - sup1) <= STABILITY_TOL * max(sup2, 1e-300)
-    return VerificationReport(
-        check="exp-log-bound",
-        parameters={"h": repr(h), "eps": eps, "n_points": EXP_LOG_POINTS},
-        lhs=sup2, rhs=abs(h), ratio=const,
-        verdict="pass" if stable else "not-decided",
-        empirical_constant=const,
-        runtime=time.perf_counter() - t0,
-    )
+    return sup_on(EXP_LOG_POINTS) / abs(h), sup_on(2 * EXP_LOG_POINTS) / abs(h)

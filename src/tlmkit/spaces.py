@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandCoverageError, ParameterError
-from .grid import GridFunction, GridSpec, _ldexp, _rescale_exponent
+from .grid import GridFunction, GridSpec, _ldexp, _ldexp_back, _rescale_exponent
 from .lpaley import LPFamily, project_all, reconstruct
 from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norm_array
 from .report import VerificationReport, safe_ratio
@@ -97,12 +97,14 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
 
 def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> list:
     """[|2^{js} phi_j(D) f|] for j = 0..j_max, once f is band-covered."""
-    # the transforms pass through up to size times the peak sample; the
-    # blocks are linear in f, so samples that close to float64's limits
-    # are scaled by an exact power of two and the blocks scaled back
-    e = _rescale_exponent(float(f.modulus().max()), 1.0, f.spec.size)
+    # the transforms reach size times the peak sample and the weights 2^{j_max s}:
+    # the blocks are linear in f, so such samples are scaled by an exact power
+    # of two and the blocks scaled back, which raises if one leaves float64
+    growth = f.spec.size * 2.0 ** (family.j_max * max(s, 0.0))
+    e = _rescale_exponent(float(f.modulus().max()), 1.0, growth)
     if e:
-        return [np.ldexp(b, e) for b in _weighted_blocks(family, _ldexp(f, -e), s)]
+        blocks = _weighted_blocks(family, _ldexp(f, -e), s)
+        return [_ldexp_back(b, e, "a weighted block 2^(js)|phi_j(D) f|") for b in blocks]
     ensure_band_covered(family, f)
     blocks = project_all(family, f)
     return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]
@@ -141,7 +143,10 @@ def tlm_norm(f: GridFunction, family: LPFamily, params: SpaceParams,
     if len(weighted) == 1:
         return low
     tail = _lr_aggregate(weighted[1:], params.r)
-    return low + _morrey_norm_array(tail, f.spec, params.pair, sampler)
+    value = low + _morrey_norm_array(tail, f.spec, params.pair, sampler)
+    if value == np.inf:
+        raise ParameterError("the TLM norm overflows float64")
+    return value
 
 
 def diamond_tail(f: GridFunction, family: LPFamily, params: SpaceParams,

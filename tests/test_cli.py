@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tlmkit import BaselineStore, GridSpec, random_bandlimited, write_binary, write_csv
 from tlmkit.cli import main
+from conftest import spike_field
 
 SMALL = ["--grid-points", "64", "--jmax", "4"]
 
@@ -219,16 +220,33 @@ def test_report_json_schema(capsys, tmp_path):
 
 @pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
 def test_interp_demo_runs(capsys, tmp_path, kind):
-    out_path = tmp_path / "demo.json"
-    code, out, _ = run(["interp-demo", "--kind", kind, "--out", str(out_path)] + SMALL,
-                       capsys)
-    assert code == 0
-    assert "reconstruction" in out
-    assert "0 failed" in out
-    doc = json.loads(out_path.read_text())
-    n_printed = sum(1 for line in out.splitlines() if line.startswith("["))
-    assert doc["n_checks"] == len(doc["checks"]) == n_printed == 6
-    assert doc["config"]["kind"] == kind
+    # the 3-D grid needs G's exact spectrum: FFT round-off in its corner
+    # frequencies above the top band would fail the coverage check
+    for grid in (SMALL, ["--grid-dim", "3", "--grid-points", "16", "--jmax", "2"]):
+        out_path = tmp_path / "demo.json"
+        code, out, _ = run(["interp-demo", "--kind", kind, "--out", str(out_path)] + grid,
+                           capsys)
+        assert code == 0
+        assert "reconstruction" in out
+        assert "3 passed, 0 failed, 3 not decided" in out
+        doc = json.loads(out_path.read_text())
+        n_printed = sum(1 for line in out.splitlines() if line.startswith("["))
+        assert doc["n_checks"] == len(doc["checks"]) == n_printed == 6
+        assert doc["config"]["kind"] == kind
+        verdicts = {c["check"]: c["verdict"] for c in doc["checks"]}
+        assert all(verdicts[c] == "not-decided"
+                   for c in ("lipschitz[side=0]", "lipschitz[side=1]", "global-growth"))
+
+
+@pytest.mark.parametrize("command", ["tlm-norm", "diamond-check"])
+def test_overflowing_blocks_exit_2(capsys, tmp_path, command):
+    # with s = 0.5 the weighted blocks of a sample at 1.7e308 leave float64
+    path = tmp_path / "spike.bin"
+    write_binary(spike_field(GridSpec(1, 64)), str(path))
+    code, _, err = run([command, "--input", str(path), "-s", "0.5"] + SMALL, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "overflows float64" in err
+    assert err.count("\n") == 1
 
 
 def test_version_flag(capsys):

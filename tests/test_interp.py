@@ -12,6 +12,7 @@ from tlmkit.interp import (
     segment_integral,
     sum_space_proxy,
 )
+from tlmkit.suites import LIPSCHITZ_SPREAD, growth_report, lipschitz_report
 
 
 def collapse_setup():
@@ -149,10 +150,12 @@ def test_holomorphy_residual_small(built_family):
 
 def test_boundary_lipschitz_gates(built_family, sampler256):
     pairs = [(0.0, 0.1), (0.0, 0.5), (0.1, 0.6)]
-    free = tk.boundary_lipschitz_check(built_family, 0, pairs, sampler256)
+    ratios = tk.boundary_lipschitz_check(built_family, 0, pairs, sampler256)
+    assert len(ratios) == len(pairs)
+    free = lipschitz_report([built_family], 0, pairs, sampler256, None)
     assert free.verdict == "not-decided"
-    assert free.details["spread"] < 3.0
-    assert free.empirical_constant == max(free.details["ratios"])
+    assert free.details["spread"] == max(ratios) / min(ratios) < LIPSCHITZ_SPREAD
+    assert free.empirical_constant == max(ratios)
     with pytest.raises(ParameterError):
         tk.boundary_lipschitz_check(built_family, 2, pairs, sampler256)
 
@@ -169,6 +172,9 @@ def test_sum_space_proxy_bounds(spec256, family_sqrt, sampler256):
 
 
 def test_global_growth_normalization(built_family, sampler256):
-    rep = tk.global_growth_check(built_family, [0.2 + 0.5j, 0.8 - 1.5j], sampler256)
+    zs = [0.2 + 0.5j, 0.8 - 1.5j]
+    values = tk.global_growth_check(built_family, zs, sampler256)
+    assert len(values) == len(zs) and all(np.isfinite(v) and v > 0 for v in values)
+    rep = growth_report(built_family, zs, sampler256, None)
     assert rep.verdict == "not-decided"
-    assert np.isfinite(rep.empirical_constant) and rep.empirical_constant > 0
+    assert rep.empirical_constant == max(values)

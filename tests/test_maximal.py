@@ -116,3 +116,7 @@ def test_maximal_homogeneous_near_float_limits(spec64, shape):
         got = tk.hl_maximal(spike, sampler).values.real
         want = np.ldexp(tk.hl_maximal(scaled(spike, -1000), sampler).values.real, 1000)
         assert np.max(np.abs(got - want) / want) <= 1e-12
+        # the ratio is 0-homogeneous, and its band transforms must not overflow
+        family = tk.build_family(spec64, 4, "plain")
+        ratio = tk.multiplier_maximal_ratio(spike, family, sampler)
+        assert ratio == tk.multiplier_maximal_ratio(scaled(spike, -1000), family, sampler)

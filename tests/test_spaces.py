@@ -116,6 +116,20 @@ def test_tlm_norm_spike_near_float_limit(spec64, r, s):
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("r", [2.0, np.inf])
+def test_weighted_blocks_overflow_raises(spec64, r):
+    # with s > 0 the weighted blocks of the spike leave float64 once scaled back
+    spike = spike_field(spec64)
+    family = tk.build_family(spec64, 4, "plain")
+    params = tk.SpaceParams(4.0, 2.0, r, 0.5)
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for check in (tk.tlm_norm, tk.diamond_criterion):
+            with pytest.raises(ParameterError, match="weighted block .* overflows float64"):
+                check(spike, family, params, sampler)
+
+
 def test_coverage_guard(spec256):
     family = tk.build_family(spec256, 3, "plain")
     wide = tk.random_bandlimited(spec256, 5, 3)

@@ -29,6 +29,13 @@ def test_empirical_suite_deterministic(small_cfg):
     for x, y in zip(a, b):
         assert x.check == y.check
         assert x.empirical_constant == y.empirical_constant
+    # no baseline constant, no decision, whatever the stability probes say
+    assert {r.verdict for r in a} == {"not-decided"}
+
+
+def test_maximal_suite_without_baseline_is_not_decided(small_cfg):
+    reports = tk.run_maximal_suite(small_cfg, None)
+    assert {r.verdict for r in reports} == {"not-decided"}
 
 
 def test_calibrate_then_verify_round_trip(small_cfg, small_store):
