@@ -59,7 +59,7 @@ from .grid import GridFunction
 from .lpaley import LPFamily, project_all
 from .morrey import WindowSampler
 from .report import safe_ratio
-from .spaces import SpaceParams, tlm_norm
+from .spaces import SpaceParams, _weighted_blocks, tlm_norm
 
 __all__ = [
     "FAMILY_KINDS",
@@ -221,8 +221,8 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     mid = setup.mid
     aggregates = []
     running = np.zeros(f.spec.shape)
-    for j, b in enumerate(blocks):
-        running = running + (2.0 ** (j * mid.s) * np.abs(b)) ** mid.r
+    for weighted in _weighted_blocks(lp_family, base, mid.s):
+        running = running + weighted**mid.r
         aggregates.append(running ** (1.0 / mid.r))
     bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
     return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),

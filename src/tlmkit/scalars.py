@@ -26,19 +26,26 @@ scalar estimates.  Writing L(s) = log(s + 1/s) (minimum log 2 at s = 1):
       sup_{0<t<=1} t^eps |(exp(h log t) - 1)/(h log t) - 1| <= C_eps |h|,
   and the mirrored sup over t > 1 with t^-eps.
 
-Psi_kappa is evaluated by adaptive quadrature after the substitution
-s = u^2, which tames the s^(kappa-1) endpoint; the integrand's log factor
-is assembled from |log u| directly so it never overflows.  The checks
-return numbers; the suites module turns them into verdicts.
+Psi_kappa comes from one table per parameter set.  After s = e^(-2x),
+    Psi_kappa(t) = t^kappa integral_{x0}^inf 2 e^(-2 kappa (x - x0)) / l(x)^r dx,
+with x0 = -log(t)/2 and l(x) = log(2 cosh(2x/r)), taken in the
+overflow-safe form 2|x|/r + log1p(e^(-4|x|/r)) that switches branch at
+x = 0.  The table holds PSI_NODES-point Gauss-Legendre panels of width
+PSI_PANEL on a lattice through x = 0, spanning the x0 of every positive
+float64 and PSI_TAIL e-folds of decay beyond, and their suffix sums scaled
+by e^(2 kappa x).  It is built on first use, checked against the lattice
+at half the width, and cached.  A value then costs one partial panel and
+one lookup, and depends on nothing but its own t.  The checks return
+numbers; the suites module turns them into verdicts.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError, QuadratureError
 
@@ -56,9 +63,17 @@ __all__ = [
 # series/direct crossover for removable singularities at s = 1 (w = z log s)
 _SERIES_CUT = 1e-4
 
-PSI_TOL = 1e-10  # absolute error allowed in the Psi quadrature
+PSI_TOL = 1e-10  # relative gap allowed between the Psi table and its half-width check
+PSI_NODES = 16  # Gauss-Legendre nodes per panel of the Psi table
+PSI_PANEL = 0.5  # panel width in x = -log(s)/2; the lattice holds x = 0
+PSI_TAIL = 40.0  # e-folds of e^(-2 kappa x) the table runs past its last argument
+PSI_MAX_PANELS = 2**14  # largest Psi table, which bounds kappa from below
 S_GRID_POINTS = 200  # log-damping scan: points per part of the (0,1) grid
 EXP_LOG_POINTS = 400  # holomorphy-modulus scan: points per log grid
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PSI_NODES)
+# -log(t)/2 of every positive finite float t lies in (-_X_EDGE, _X_EDGE)
+_X_EDGE = 373.0
 
 
 @dataclass(frozen=True)
@@ -88,37 +103,106 @@ def phi_kappa(t, params: PhiPsiParams) -> np.ndarray:
     return t ** (params.kappa - 1.0) / _log_s_plus_inv(t)
 
 
-def _psi_integrand_u(u: float, kappa: float, r: float) -> float:
-    # integrand of Psi after s = u^2: 2 u^(2k-1) / log(u^(2/r)+u^(-2/r))^r
-    al = abs(np.log(u)) * (2.0 / r)
-    lg = al + np.log1p(np.exp(-2.0 * al))
-    return 2.0 * u ** (2.0 * kappa - 1.0) / lg**r
+def _panel_integrals(left: np.ndarray, width: np.ndarray, kappa: float,
+                     r: float) -> np.ndarray:
+    """integral over [left, left + width] of 2 e^(-2 kappa (x - left)) / l(x)^r,
+    l(x) = log(2 cosh(2x/r)) in its overflow-safe form, by the PSI_NODES-point
+    Gauss-Legendre rule.  The node sum runs in a fixed order and every other
+    step is elementwise, so each entry is independent of the others bit for bit.
+    """
+    half = 0.5 * width
+    offset = half * (1.0 + _GL_NODES[:, None])  # x - left, one row per node
+    ax = np.abs(left + offset) * (2.0 / r)
+    ell = ax + np.log1p(np.exp(-2.0 * ax))
+    values = np.exp(-2.0 * kappa * offset) / ell**r
+    total = np.zeros(np.shape(left))
+    for weight, row in zip(_GL_WEIGHTS, values):
+        total += weight * row
+    return 2.0 * half * total
 
 
-def psi_kappa(t: float, params: PhiPsiParams) -> float:
-    """Psi_kappa(t) by adaptive quadrature; absolute tolerance PSI_TOL."""
-    if t < 0 or not np.isfinite(t):
-        raise ParameterError(f"psi_kappa needs finite t >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    top = float(np.sqrt(t))
-    interior = [1.0] if top > 1.0 else None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(
-            _psi_integrand_u, 0.0, top, args=(params.kappa, params.r),
-            points=interior, limit=200, epsabs=1e-12, epsrel=1e-12,
-        )
-    bad = [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if bad and abserr > PSI_TOL:
+def _suffix_sums(kappa: float, r: float, n_panels: int, h: float) -> np.ndarray:
+    """R_k = e^(2 kappa x_k) Psi_kappa(e^(-2 x_k)) on the lattice
+    x_k = -_X_EDGE + k h, the last entry 0 at the tail cut; the recurrence
+    R_k = P_k + e^(-2 kappa h) R_(k+1) never amplifies the panels' rounding."""
+    left = -_X_EDGE + h * np.arange(n_panels)
+    panels = _panel_integrals(left, np.full(n_panels, h), kappa, r)
+    decay = float(np.exp(-2.0 * kappa * h))
+    sums = itertools.accumulate(panels[::-1].tolist(), lambda acc, p: p + decay * acc,
+                                initial=0.0)
+    return np.array(list(sums)[::-1])
+
+
+@functools.lru_cache(maxsize=32)
+def _psi_table(params: PhiPsiParams) -> np.ndarray:
+    """The suffix sums at PSI_PANEL, checked against the lattice at half of it."""
+    kappa, r = params.kappa, params.r
+    n_panels = int(np.ceil((2.0 * _X_EDGE + PSI_TAIL / (2.0 * kappa)) / PSI_PANEL))
+    if n_panels > PSI_MAX_PANELS:
         raise QuadratureError(
-            f"Psi quadrature did not converge at t={t:g}: {bad[0].message}"
+            f"kappa={kappa:g} is too small for the Psi table: it needs "
+            f"{n_panels} panels, more than {PSI_MAX_PANELS}"
         )
-    if abserr > max(PSI_TOL, 1e-11 * abs(value)):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sums = _suffix_sums(kappa, r, n_panels, PSI_PANEL)
+        fine = _suffix_sums(kappa, r, 2 * n_panels, PSI_PANEL / 2.0)[::2]
+        if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(fine))):
+            raise ParameterError(f"Psi_kappa overflows float64 at kappa={kappa:g}, r={r:g}")
+        # nan, and so a failure, where a panel of the check underflowed to 0
+        gap = float(np.max(np.abs(sums[:-1] - fine[:-1]) / fine[:-1]))
+    if not gap <= PSI_TOL:
         raise QuadratureError(
-            f"Psi quadrature error {abserr:.2e} above tolerance at t={t:g}"
+            f"Psi table not converged at kappa={kappa:g}, r={r:g}: relative gap "
+            f"{gap:.2e} between panel widths {PSI_PANEL:g} and {PSI_PANEL / 2:g}"
         )
-    return value
+    sums.flags.writeable = False
+    return sums
+
+
+def psi_kappa(t, params: PhiPsiParams):
+    """Psi_kappa(t) for finite t >= 0, elementwise over an array of t.
+
+    A scalar is a batch of one and gives a float.  Each value is t^kappa
+    times (the partial panel from x0 = -log(t)/2 to the next lattice edge,
+    a distance d away, plus e^(-2 kappa d) times the suffix sum there), so
+    a scalar call equals its batch entry bit for bit.  A value beyond
+    float64 raises ParameterError; one below its subnormal range is 0.0.
+    Building the table raises QuadratureError for kappa outside about
+    [0.003, 30]: past 30 its panels cannot resolve e^(-2 kappa x), and
+    below 0.003 the tail needs more than PSI_MAX_PANELS of them.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    flat = t.ravel()
+    bad = ~(np.isfinite(flat) & (flat >= 0.0))
+    if np.any(bad):
+        raise ParameterError(f"psi_kappa needs finite t >= 0, got {flat[bad][0]}")
+    sums = _psi_table(params)
+    kappa = params.kappa
+    pos = np.where(flat > 0.0, flat, 1.0)  # t = 0 is filled in below
+    x0 = -0.5 * np.log(pos)
+    k = np.clip(np.floor((x0 + _X_EDGE) / PSI_PANEL).astype(np.int64), 0, sums.size - 2)
+    edge = -_X_EDGE + (k + 1) * PSI_PANEL
+    width = edge - x0
+    bracket = _panel_integrals(x0, width, kappa, params.r) \
+        + np.exp(-2.0 * kappa * width) * sums[k + 1]
+    with np.errstate(over="ignore", under="ignore"):
+        power = pos**kappa
+        # outside the normal range t^kappa is rebuilt as m^kappa 2^(kappa e)
+        # from t = m 2^e, so Psi leaves float64 only in the final ldexp
+        mant, expo = np.frexp(pos)
+        scaled = kappa * expo
+        whole = np.floor(scaled)
+        wide = np.ldexp(mant**kappa * np.exp2(scaled - whole) * bracket,
+                        whole.astype(np.int64))
+        normal = (power >= np.finfo(np.float64).tiny) & np.isfinite(power)
+        psi = np.where(normal, power * bracket, wide)
+    if np.any(np.isinf(psi)):
+        bad = flat[np.isinf(psi)][0]
+        raise ParameterError(
+            f"Psi_kappa({bad:g}) overflows float64 at kappa={kappa:g}, r={params.r:g}"
+        )
+    psi = np.where(flat > 0.0, psi, 0.0).reshape(t.shape)
+    return float(psi) if t.ndim == 0 else psi
 
 
 def sequence_power_margin(a: np.ndarray, kappa: float):
@@ -212,18 +296,27 @@ def log_damping_imag_check(t: float, r: float) -> tuple:
     return tuple(sup_on(g) for g in _s_grids())
 
 
-def psi_tail_bound_check(t: float, a: float, params: PhiPsiParams) -> tuple:
-    """(lhs, rhs) of the exact tail bound for Psi_kappa(t^r) outside [a, 1/a]."""
+def psi_tail_bound_check(t, a: float, params: PhiPsiParams) -> tuple:
+    """(lhs, rhs) of the exact tail bound for Psi_kappa(t^r) outside [a, 1/a],
+    elementwise over an array of t (floats for a scalar t)."""
     if not 0.0 < a < 1.0:
         raise ParameterError(f"need a in (0,1), got {a}")
-    if not (0.0 < t < a or t > 1.0 / a):
-        raise ParameterError(f"t={t:g} must lie in (0,{a:g}) or ({1 / a:g},inf)")
+    t = np.asarray(t, dtype=np.float64)
+    outside = ((t > 0.0) & (t < a)) | (t > 1.0 / a)
+    if not np.all(outside):
+        bad = t[~outside][0]
+        raise ParameterError(f"t={bad:g} must lie in (0,{a:g}) or ({1 / a:g},inf)")
     kappa, r = params.kappa, params.r
-    lhs = psi_kappa(t**r, params)
     log_a_term = float(_log_s_plus_inv(a ** (1.0 / r)))
-    rhs = (a ** ((r - 1.0) * kappa) + log_a_term**-r) * t ** (r * kappa) \
-        / (kappa * np.log(2.0) ** r)
-    return lhs, rhs
+    with np.errstate(over="ignore"):
+        t_r = t**r
+        rhs = (a ** ((r - 1.0) * kappa) + log_a_term**-r) * t ** (r * kappa) \
+            / (kappa * np.log(2.0) ** r)
+    if np.any(np.isinf(t_r)) or np.any(np.isinf(rhs)):
+        bad = t[np.isinf(t_r) | np.isinf(rhs)][0]
+        raise ParameterError(f"the Psi tail bound at t={bad:g} overflows float64")
+    lhs = psi_kappa(t_r, params)
+    return (lhs, float(rhs)) if t.ndim == 0 else (lhs, rhs)
 
 
 def _exp_log_modulus(h: complex, t: np.ndarray) -> np.ndarray:

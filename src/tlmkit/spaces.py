@@ -19,13 +19,14 @@ otherwise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BandCoverageError, ParameterError
-from .grid import GridFunction, GridSpec, _ldexp, _ldexp_back, _rescale_exponent
+from .grid import _MAX_EXP, GridFunction, GridSpec, _ldexp, _rescale_exponent
 from .lpaley import LPFamily, project_all, reconstruct
 from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norm_array
 from .report import VerificationReport, safe_ratio
@@ -45,6 +46,7 @@ __all__ = [
 COVERAGE_TOL = 1e-10
 DIAMOND_CUTOFFS = (0.1, 0.01)  # size cutoffs a of the tail criterion's gates
 DIAMOND_REL_TOL = 1e-8  # a tail below this fraction of its J = 0 norm has died out
+_EXP_CLAMP = 4096  # binary exponent shifts beyond any float64 scale
 
 
 @dataclass(frozen=True)
@@ -97,17 +99,33 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
 
 def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> list:
     """[|2^{js} phi_j(D) f|] for j = 0..j_max, once f is band-covered."""
-    # the transforms reach size times the peak sample and the weights 2^{j_max s}:
-    # the blocks are linear in f, so such samples are scaled by an exact power
-    # of two and the blocks scaled back, which raises if one leaves float64
-    growth = f.spec.size * 2.0 ** (family.j_max * max(s, 0.0))
-    e = _rescale_exponent(float(f.modulus().max()), 1.0, growth)
+    # the transforms reach size times the peak sample and the weights 2^{j_max s}.
+    # While both stay in float64 the blocks are weighted directly.  Otherwise
+    # the samples are scaled by an exact power of two 2^-e (the blocks are
+    # linear in f) and each weight enters through ldexp as
+    # 2^frac(js) 2^(floor(js) + e), so only a block that leaves float64 raises
+    peak = float(f.modulus().max())
+    top = family.j_max * max(s, 0.0)  # log2 of the largest weight
+    direct = top < _MAX_EXP and not _rescale_exponent(peak, 1.0, f.spec.size * 2.0**top)
+    e = 0 if direct else math.frexp(peak)[1]
     if e:
-        blocks = _weighted_blocks(family, _ldexp(f, -e), s)
-        return [_ldexp_back(b, e, "a weighted block 2^(js)|phi_j(D) f|") for b in blocks]
+        f = _ldexp(f, -e)
     ensure_band_covered(family, f)
     blocks = project_all(family, f)
-    return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]
+    if direct:
+        return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]
+    weighted = []
+    for j, b in enumerate(blocks):
+        whole = math.floor(j * s)
+        shift = min(max(whole + e, -_EXP_CLAMP), _EXP_CLAMP)  # past it, 0 or inf anyway
+        with np.errstate(over="ignore"):
+            block = np.ldexp(2.0 ** (j * s - whole) * np.abs(b.values), shift)
+        if np.isinf(block).any():
+            raise ParameterError(
+                f"the weighted block 2^(js)|phi_j(D) f| at j={j}, s={s:g} overflows float64"
+            )
+        weighted.append(block)
+    return weighted
 
 
 def square_function(f: GridFunction, family: LPFamily, r: float, s: float) -> GridFunction:
@@ -218,6 +236,10 @@ def persistent_block_function(spec: GridSpec, family: LPFamily,
         k = int(round(target * spec.length / (2.0 * np.pi)))
         if k < 1 or 2.0 * np.pi * k / spec.length > spec.nyquist:
             raise ParameterError(f"band {j} frequency {target:g} not on the grid")
+        if math.log2(half_peak) - j * s >= _MAX_EXP:
+            raise ParameterError(
+                f"band {j} amplitude sqrt(N)/2 * 2^(-js) overflows float64 at s={s:g}"
+            )
         amp = half_peak * 2.0 ** (-j * s)
         idx_pos = (k,) + (0,) * (spec.dim - 1)
         idx_neg = (spec.points - k,) + (0,) * (spec.dim - 1)

@@ -249,6 +249,31 @@ def test_overflowing_blocks_exit_2(capsys, tmp_path, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["tlm-norm", "-s", "600"],
+    ["diamond-check", "-s", "600"],
+    ["diamond-check", "--profile", "persistent", "-s", "-400"],
+    ["interp-demo", "--kind", "exponent-shift", "--s0", "600", "--s1", "600"],
+], ids=["tlm-norm", "diamond-check", "persistent-profile", "interp-demo"])
+def test_overflowing_weights_exit_2(capsys, argv):
+    # the demo field's band-2 block carries the weight 2^(2s) = 2^1200; the
+    # persistent profile's band-j amplitude is 2^(-js) = 2^(400j)
+    code, _, err = run(argv + SMALL, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "overflows float64" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["tlm-norm", "diamond-check"])
+def test_weights_beyond_float64_on_empty_bands(capsys, command):
+    # at s = 400 the weights 2^(js) of bands 3 and 4 leave float64, but the
+    # demo field's blocks there are exactly zero: the result is finite
+    code, out, err = run([command, "-s", "400"] + SMALL, capsys)
+    assert code == 0 and err == ""
+    if command == "tlm-norm":
+        assert 2.0**790 < float(out.rsplit(":", 1)[1]) < np.inf  # band 2: 2^800 |block|
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

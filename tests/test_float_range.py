@@ -1,8 +1,10 @@
 """One magnitude sweep over the entry points that rescale by powers of two.
 
 For any finite field, whatever the binary exponent of its samples, each
-norm, maximal function and criterion returns a finite value or raises
-ParameterError naming the overflow, and never emits a warning.
+norm, square function, maximal function and criterion returns a finite
+value or raises ParameterError naming the overflow, and never emits a
+warning.  The same holds for Psi_kappa and its tail bound at any positive
+float argument.
 """
 
 import warnings
@@ -44,6 +46,11 @@ def _entry_points():
                 lambda f, p=params: tk.tlm_norm(f, FAMILY, p, SAMPLERS["cube"])
             yield f"diamond_criterion[s={s},r={r}]", \
                 lambda f, p=params: tk.diamond_criterion(f, FAMILY, p, SAMPLERS["cube"]).lhs
+            yield f"square_function[s={s},r={r}]", \
+                lambda f, r=r, s=s: tk.square_function(f, FAMILY, r, s).values.real.max()
+            yield f"truncated_square_function[s={s},r={r}]", \
+                lambda f, r=r, s=s: max(tail.max() for tail in
+                                        tk.truncated_square_function(f, FAMILY, r, s, 0.1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,3 +68,29 @@ def test_entry_points_finite_or_parameter_error(kind, mantissa, k):
                 assert "overflows float64" in str(exc), (name, str(exc))
                 continue
         assert np.isfinite(value), (name, value)
+
+
+# the (kappa, r) pairs of the scalar suites, and a cutoff for the tail bound
+PSI_PARAMS = [tk.PhiPsiParams(k, r) for k in (0.5, 1.0, 2.0) for r in (1.0, 2.0)]
+TAIL_CUT = 0.25
+
+
+@settings(max_examples=100, deadline=None)
+@given(mantissa=st.floats(1.0, 2.0, exclude_max=True), k=st.integers(-1074, 1023))
+def test_psi_finite_or_parameter_error(mantissa, k):
+    t = float(np.ldexp(mantissa, k))  # subnormal for k < -1022
+    calls = []
+    for params in PSI_PARAMS:
+        calls.append((f"psi_kappa[{params}]", lambda p=params: [tk.psi_kappa(t, p)]))
+        if not TAIL_CUT <= t <= 1.0 / TAIL_CUT:
+            calls.append((f"psi_tail_bound_check[{params}]",
+                          lambda p=params: tk.psi_tail_bound_check(t, TAIL_CUT, p)))
+    for name, call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = call()
+            except ParameterError as exc:
+                assert "overflows float64" in str(exc), (name, t, str(exc))
+                continue
+        assert all(np.isfinite(v) and v >= 0.0 for v in values), (name, t, values)

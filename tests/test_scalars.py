@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +16,7 @@ from tlmkit.scalars import (
     psi_kappa,
     sequence_power_margin,
 )
-from tlmkit.suites import EXACT_SLACK, STABILITY_TOL
+from tlmkit.suites import _PHI_SUM_CASES, EXACT_SLACK, STABILITY_TOL
 
 # (kappa, r, t, value) computed with 30-digit adaptive quadrature
 PSI_ORACLE = (
@@ -30,6 +35,61 @@ PSI_ORACLE = (
 def test_psi_against_frozen_oracle(kappa, r, t, expected):
     got = psi_kappa(t, PhiPsiParams(kappa, r))
     assert got == pytest.approx(expected, rel=1e-8)
+
+
+# the (kappa, r) pairs of the suite's psi-tail sweep
+_PSI_TAIL_CASES = tuple((k, r) for k in (0.5, 1.0, 2.0) for r in (1.0, 2.0))
+
+
+def _psi_mpmath(t: float, kappa: float, r: float) -> float:
+    """Psi_kappa(t) at 30 digits after s = e^(-2x): the integral over
+    x > -log(t)/2 of 2 e^(-2 kappa x) / log(2 cosh(2x/r))^r."""
+    with mpmath.workdps(30):
+        k, rr = mpmath.mpf(kappa), mpmath.mpf(r)
+        x0 = -mpmath.log(mpmath.mpf(t)) / 2
+
+        def f(x):
+            return 2 * mpmath.exp(-2 * k * x) / mpmath.log(2 * mpmath.cosh(2 * x / rr)) ** rr
+
+        # split where the integrand turns (x = 0) and a decay length past x0
+        points = [x0, 0, mpmath.inf] if x0 < 0 else [x0, x0 + 1, mpmath.inf]
+        return float(mpmath.quad(f, points))
+
+
+@pytest.mark.parametrize("kappa,r", sorted(set(_PHI_SUM_CASES) | set(_PSI_TAIL_CASES)))
+def test_psi_against_mpmath(kappa, r):
+    params = PhiPsiParams(kappa, r)
+    ts = np.geomspace(1e-8, 1e12, 25)
+    batch = psi_kappa(ts, params)
+    for t, got in zip(ts, batch):
+        want = _psi_mpmath(float(t), kappa, r)
+        assert abs(got - want) <= 1e-13 * want, (t, got, want)
+        # the lattice is fixed per parameter set: a scalar call is its batch entry
+        assert psi_kappa(float(t), params) == got
+
+
+def test_psi_range_edges():
+    params = PhiPsiParams(2.0, 2.0)
+    assert psi_kappa(0.0, params) == 0.0
+    assert psi_kappa(1e-300, params) == 0.0  # Psi ~ t^2 underflows
+    with pytest.raises(ParameterError, match="overflows float64"):
+        psi_kappa(1e160, params)
+    with pytest.raises(ParameterError):
+        psi_kappa(-1.0, params)
+    with pytest.raises(ParameterError):
+        psi_kappa(np.array([1.0, np.nan]), params)
+    # shapes pass through; Psi is nondecreasing along the grid
+    grid = np.geomspace(1e-30, 1e30, 12).reshape(3, 4)
+    values = psi_kappa(grid, params)
+    assert values.shape == (3, 4) and np.all(np.diff(values.ravel()) > 0)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, tlmkit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_phi_psi_basic_shape():
@@ -142,6 +202,22 @@ def test_exp_log_bound_requires_margin():
     # the modulus bound scales like |h|: constants for h and h/10 comparable
     _, refined2 = tk.exp_log_bound_check(0.001 + 0j, 0.5)
     assert refined2 == pytest.approx(refined, rel=0.25)
+
+
+def test_summation_ratio_batch_rows():
+    # a zero-padded 2-d batch gives each row's own 1-d ratio; only the
+    # order of the row sums differs
+    params = PhiPsiParams(2.0, 1.0)
+    seqs = [[0.5, 0.1, 2.0, 0.7], [0.0, 3.0], [0.25] * 12, [1e-3], [4.0, 0.0, 1.0]]
+    batch = np.zeros((len(seqs), 12))
+    for i, seq in enumerate(seqs):
+        batch[i, :len(seq)] = seq
+    ratios = tk.summation_ratio(batch, params)
+    assert ratios.shape == (len(seqs),)
+    for ratio, seq in zip(ratios, seqs):
+        assert ratio == pytest.approx(tk.summation_ratio(np.array(seq), params), rel=1e-14)
+    with pytest.raises(ParameterError):
+        tk.summation_ratio(np.vstack([batch, np.zeros(12)]), params)  # a zero row
 
 
 def test_summation_bound_gating():
