@@ -62,32 +62,37 @@ def _parse_r(text: str) -> float:
     return float(text)
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-dim", type=int, default=1, help="spatial dimension (default 1)")
-    p.add_argument("--grid-points", type=int, default=256,
-                   help="points per axis, power of two (default 256)")
-    p.add_argument("--grid-length", type=float, default=2.0 * np.pi,
-                   help="torus side length (default 2*pi)")
-    p.add_argument("--jmax", type=int, default=6, help="top dyadic band (default 6)")
-    p.add_argument("--seed", type=int, default=20260813, help="corpus seed")
+# every shared option once; each command adds the ones its code reads
+_OPTIONS = {
+    "--grid-dim": dict(type=int, default=1, help="spatial dimension (default 1)"),
+    "--grid-points": dict(type=int, default=256,
+                          help="points per axis, power of two (default 256)"),
+    "--grid-length": dict(type=float, default=2.0 * np.pi,
+                          help="torus side length (default 2*pi)"),
+    "--jmax": dict(type=int, default=6, help="top dyadic band (default 6)"),
+    "--seed": dict(type=int, default=20260813, help="corpus seed"),
+    "--windows": dict(choices=("cube", "ball"), default="cube",
+                      help="window shape for Morrey sups (default cube)"),
+    "--radii": dict(type=_parse_radii, default=None,
+                    help="comma separated window radii (default dyadic)"),
+    "--input": dict(default=None, help=".bin or .csv sample file"),
+    "--baseline": dict(default="bundled",
+                       help="'bundled', 'none', or a path to a calibrated baseline"),
+    "--out": dict(default=None, help="write a JSON report here"),
+    "-p": dict(type=float, default=4.0),
+    "-q": dict(type=float, default=2.0),
+    "-r": dict(type=_parse_r, default=2.0, help="block aggregate ('inf' allowed)"),
+    "-s": dict(type=float, default=0.5, help="smoothness weight"),
+}
+
+# the commands that take one field: its grid, seeded demo draw and windows
+_FIELD_OPTIONS = ("--grid-dim", "--grid-points", "--grid-length", "--jmax", "--seed",
+                  "--windows", "--radii", "--input")
 
 
-def _add_window_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--windows", choices=("cube", "ball"), default="cube",
-                   help="window shape for Morrey sups (default cube)")
-    p.add_argument("--radii", type=_parse_radii, default=None,
-                   help="comma separated window radii (default dyadic)")
-    p.add_argument("--stride", type=int, default=1,
-                   help="window center stride (default 1, every point)")
-
-
-def _add_out_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="write a JSON report here")
-
-
-def _add_baseline_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--baseline", default="bundled",
-                   help="'bundled', 'none', or a path to a calibrated baseline")
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def _spec_from_args(args) -> GridSpec:
@@ -96,16 +101,20 @@ def _spec_from_args(args) -> GridSpec:
 
 def _sampler_from_args(args, spec: GridSpec) -> WindowSampler:
     if args.radii is None:
-        return WindowSampler.dyadic(spec, args.windows, args.stride)
-    sampler = WindowSampler(args.radii, args.stride, args.windows)
+        return WindowSampler.dyadic(spec, args.windows)
+    sampler = WindowSampler(args.radii, args.windows)
     sampler.validate_against(spec)
     return sampler
 
 
+_CONFIG_FLAGS = {"seed": "seed", "points": "grid_points", "length": "grid_length",
+                 "j_max": "jmax", "window_shape": "windows"}
+
+
 def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(seed=args.seed, points=args.grid_points,
-                       length=args.grid_length, j_max=args.jmax,
-                       window_shape=getattr(args, "windows", "cube"))
+    """The suite config from the command's flags; the others keep their defaults."""
+    return SuiteConfig(**{field: getattr(args, flag) for field, flag in _CONFIG_FLAGS.items()
+                          if hasattr(args, flag)})
 
 
 def _resolve_baseline(token: str):
@@ -130,6 +139,13 @@ def _load_input(args, spec: GridSpec) -> GridFunction:
         raise ParameterError(f"{args.input}: header grid {f.spec} differs from "
                              f"the --grid-* flags' {spec}")
     return f
+
+
+def _input_or_demo(args, spec: GridSpec) -> GridFunction:
+    """The --input samples, else the seeded band-limited demo function."""
+    if args.input:
+        return _load_input(args, spec)
+    return random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
 
 
 def _print_reports(reports) -> int:
@@ -197,10 +213,7 @@ def cmd_morrey_norm(args) -> int:
 
 def cmd_tlm_norm(args) -> int:
     spec = _spec_from_args(args)
-    if args.input:
-        f = _load_input(args, spec)
-    else:
-        f = random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
+    f = _input_or_demo(args, spec)
     params = SpaceParams(args.p, args.q, args.r, args.s)
     family = build_family(spec, args.jmax, args.flavor)
     sampler = _sampler_from_args(args, spec)
@@ -217,12 +230,10 @@ def cmd_diamond_check(args) -> int:
     spec = _spec_from_args(args)
     family = build_family(spec, args.jmax, "plain")
     params = SpaceParams(args.p, args.q, args.r, args.s)
-    if args.input:
-        f = _load_input(args, spec)
-    elif args.profile == "persistent":
+    if args.profile == "persistent" and not args.input:
         f = persistent_block_function(spec, family, s=args.s)
     else:
-        f = random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
+        f = _input_or_demo(args, spec)
     sampler = _sampler_from_args(args, spec)
     rep = diamond_criterion(f, family, params, sampler)
     _print_reports([rep])
@@ -239,10 +250,7 @@ def cmd_interp_demo(args) -> int:
     setup = make_setup(args.theta,
                        SpaceParams(args.p0, args.q0, args.r0, args.s0),
                        SpaceParams(args.p1, args.q1, args.r1, args.s1))
-    if args.input:
-        f = _load_input(args, spec)
-    else:
-        f = random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
+    f = _input_or_demo(args, spec)
     family = build_family(spec, args.jmax, "square_root")
     sampler = _sampler_from_args(args, spec)
     fam = build_analytic_family(args.kind, setup, f, family, sampler)
@@ -281,59 +289,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-all", help="run every suite against the baseline")
-    _add_grid_args(p)
-    p.add_argument("--windows", choices=("cube", "ball"), default="cube")
-    _add_baseline_arg(p)
-    _add_out_arg(p)
+    _add_options(p, "--grid-points", "--grid-length", "--jmax", "--seed", "--windows",
+                 "--baseline", "--out")
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("calibrate", help="measure empirical constants on the seeded corpus")
-    _add_grid_args(p)
-    p.add_argument("--windows", choices=("cube", "ball"), default="cube")
+    _add_options(p, "--grid-points", "--grid-length", "--jmax", "--seed", "--windows")
     p.add_argument("--out", default="baseline.json", help="where to store the baseline")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("morrey-norm", help="windowed norm of a sampled function")
-    _add_grid_args(p)
-    _add_window_args(p)
-    p.add_argument("--input", default=None, help=".bin or .csv sample file")
-    p.add_argument("-p", type=float, default=4.0)
-    p.add_argument("-q", type=float, default=2.0)
-    _add_out_arg(p)
+    _add_options(p, "--grid-dim", "--grid-points", "--grid-length", "--windows", "--radii",
+                 "--input", "-p", "-q", "--out")
     p.set_defaults(func=cmd_morrey_norm)
 
     p = sub.add_parser("tlm-norm", help="smoothness-space norm of a sampled function")
-    _add_grid_args(p)
-    _add_window_args(p)
-    p.add_argument("--input", default=None, help=".bin or .csv sample file")
-    p.add_argument("-p", type=float, default=4.0)
-    p.add_argument("-q", type=float, default=2.0)
-    p.add_argument("-r", type=_parse_r, default=2.0, help="block aggregate ('inf' allowed)")
-    p.add_argument("-s", type=float, default=0.5, help="smoothness weight")
+    _add_options(p, *_FIELD_OPTIONS, "-p", "-q", "-r", "-s", "--out")
     p.add_argument("--flavor", choices=("plain", "square_root"), default="plain")
-    _add_out_arg(p)
     p.set_defaults(func=cmd_tlm_norm)
 
     p = sub.add_parser("diamond-check", help="vanishing-tail criterion for a function")
-    _add_grid_args(p)
-    _add_window_args(p)
-    p.add_argument("--input", default=None, help=".bin or .csv sample file")
+    _add_options(p, *_FIELD_OPTIONS, "-p", "-q", "-r", "-s", "--out")
     p.add_argument("--profile", choices=("bandlimited", "persistent"),
                    default="bandlimited", help="demo input when no file is given")
-    p.add_argument("-p", type=float, default=4.0)
-    p.add_argument("-q", type=float, default=2.0)
-    p.add_argument("-r", type=_parse_r, default=2.0)
-    p.add_argument("-s", type=float, default=0.5)
     p.add_argument("--expect", choices=("pass", "not-decided"), default=None,
                    help="fail unless the verdict matches")
-    _add_out_arg(p)
     p.set_defaults(func=cmd_diamond_check)
 
     p = sub.add_parser("interp-demo", help="analytic family diagnostics on one function")
-    _add_grid_args(p)
-    _add_window_args(p)
-    p.add_argument("--input", default=None, help=".bin or .csv sample file")
+    _add_options(p, *_FIELD_OPTIONS, "--out")
     p.add_argument("--kind", choices=("exponent-shift", "four-exponent"),
                    default="exponent-shift")
     p.add_argument("--theta", type=float, default=0.5)
@@ -345,20 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", type=float, default=2.0)
     p.add_argument("--r1", type=float, default=2.0)
     p.add_argument("--s1", type=float, default=0.0)
-    _add_out_arg(p)
     p.set_defaults(func=cmd_interp_demo)
 
     p = sub.add_parser("scalar-suite", help="exact and empirical scalar inequalities")
-    _add_grid_args(p)
-    _add_baseline_arg(p)
-    _add_out_arg(p)
+    _add_options(p, "--seed", "--baseline", "--out")
     p.set_defaults(func=cmd_scalar_suite)
 
     p = sub.add_parser("maximal-suite", help="window maximal operator checks")
-    _add_grid_args(p)
-    p.add_argument("--windows", choices=("cube", "ball"), default="cube")
-    _add_baseline_arg(p)
-    _add_out_arg(p)
+    _add_options(p, "--grid-points", "--grid-length", "--seed", "--windows",
+                 "--baseline", "--out")
     p.set_defaults(func=cmd_maximal_suite)
 
     return parser

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import GridFunction
 from .lpaley import LPFamily, project_all
-from .morrey import WindowSampler
+from .morrey import WindowSampler, _lr_aggregate
 from .report import safe_ratio
 from .spaces import SpaceParams, _weighted_blocks, tlm_norm
 
@@ -219,11 +219,8 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
         base_norm = 0.0
     blocks = tuple(b.values for b in project_all(lp_family, base))
     mid = setup.mid
-    aggregates = []
-    running = np.zeros(f.spec.shape)
-    for weighted in _weighted_blocks(lp_family, base, mid.s):
-        running = running + weighted**mid.r
-        aggregates.append(running ** (1.0 / mid.r))
+    weighted = _weighted_blocks(lp_family, base, mid.s)
+    aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
     bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
     return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),
                           bands, base_norm)

@@ -2,10 +2,10 @@
 
 Mf(x) is the largest average of |f| over the windows of a
 :class:`WindowSampler` centered at x, the window family the Morrey scan
-uses (cube or ball, torus wrap); every grid point is a center, so the
-sampler's center stride must be 1.  Averages divide by the discrete
-point count of the window so that constants are reproduced exactly; the
-single-point window is always included, so Mf >= |f| pointwise.
+uses (cube or ball, torus wrap), centered at every grid point.  Averages
+divide by the discrete point count of the window so that constants are
+reproduced exactly; the single-point window is always included, so
+Mf >= |f| pointwise.
 
 The two checks wrap estimates whose constants are not computable
 a priori: the Fefferman-Stein-type vector bound
@@ -54,11 +54,6 @@ MaximalConfig = WindowSampler
 def _maximal_array(modulus: np.ndarray, spec: GridSpec,
                    sampler: WindowSampler) -> np.ndarray:
     sampler.validate_against(spec)
-    if sampler.center_stride != 1:
-        raise ParameterError(
-            f"the maximal operator needs every center, got center_stride "
-            f"{sampler.center_stride}"
-        )
     # window sums reach size times the peak (size^2 inside a ball window's
     # FFT convolution); averages are 1-homogeneous, so rescale exactly
     e = _rescale_exponent(float(modulus.max()), 1.0, float(modulus.size) ** 2)

@@ -9,10 +9,10 @@ h^n and the *continuum* window volume |W| (ball: c_n R^n, cube of side
 2R: (2R)^n).  Windows wrap around the torus; radii never exceed L/2 so a
 window covers each point at most once.
 
-Window centers are grid points (optionally strided) and radii come from a
-finite sampled list, so every computed value is a max over a finite
-window family: monotone under refinement and always a lower bound for
-the full supremum.
+Every grid point is a window center and radii come from a finite sampled
+list, so every computed value is a max over a finite window family:
+monotone under refinement and always a lower bound for the full
+supremum.
 
 Cube windows use exact cumulative-sum box filters per axis (O(N^n) per
 radius).  Ball windows use circular FFT convolution against the 0/1
@@ -70,13 +70,12 @@ class WindowSampler:
     """Finite family of windows scanned by the norm.
 
     radii: increasing positive radii, at most L/2 (checked against the
-    grid at use time).  center_stride: sample every stride-th grid point
-    per axis as a window center (must divide N).  window_shape: "cube"
-    (side 2R in the torus sup-metric) or "ball" (torus Euclidean metric).
+    grid at use time), each scanned at every grid point.  window_shape:
+    "cube" (side 2R in the torus sup-metric) or "ball" (torus Euclidean
+    metric).
     """
 
     radii: tuple
-    center_stride: int = 1
     window_shape: str = "cube"
 
     def __post_init__(self) -> None:
@@ -88,29 +87,22 @@ class WindowSampler:
             raise ParameterError(f"radii must be positive finite, got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ParameterError("radii must be strictly increasing")
-        if self.center_stride < 1:
-            raise ParameterError(f"center_stride must be >= 1, got {self.center_stride}")
         if self.window_shape not in WINDOW_SHAPES:
             raise ParameterError(
                 f"window_shape must be one of {WINDOW_SHAPES}, got {self.window_shape!r}"
             )
 
     @classmethod
-    def dyadic(cls, spec: GridSpec, window_shape: str = "cube",
-               center_stride: int = 1) -> "WindowSampler":
+    def dyadic(cls, spec: GridSpec, window_shape: str = "cube") -> "WindowSampler":
         """Radii h*2^m for m = 0 .. log2(N/2); the largest is L/2."""
         levels = int(np.log2(spec.points)) - 1
         radii = tuple(spec.spacing * 2.0**m for m in range(levels + 1))
-        return cls(radii, center_stride, window_shape)
+        return cls(radii, window_shape)
 
     def validate_against(self, spec: GridSpec) -> None:
         if self.radii[-1] > spec.length / 2.0 * _EDGE_TOL:
             raise ParameterError(
                 f"max radius {self.radii[-1]:g} exceeds L/2 = {spec.length / 2:g}"
-            )
-        if spec.points % self.center_stride:
-            raise ParameterError(
-                f"center_stride {self.center_stride} does not divide N = {spec.points}"
             )
 
 
@@ -212,12 +204,6 @@ def _lr_aggregate(stack, r: float) -> np.ndarray:
     return (arr**r).sum(axis=0) ** (1.0 / r)
 
 
-def _strided_max(arr: np.ndarray, stride: int) -> float:
-    if stride > 1:
-        arr = arr[(slice(None, None, stride),) * arr.ndim]
-    return float(arr.max())
-
-
 def _morrey_norm_array(modulus: np.ndarray, spec: GridSpec, pq: LebesguePair,
                        sampler: WindowSampler) -> float:
     sampler.validate_against(spec)
@@ -232,7 +218,7 @@ def _morrey_norm_array(modulus: np.ndarray, spec: GridSpec, pq: LebesguePair,
     best = 0.0
     for radius in sampler.radii:
         sums = window_sum(spec, g, sampler.window_shape, radius)
-        peak = _strided_max(sums, sampler.center_stride)
+        peak = float(sums.max())
         vol = window_volume(spec, sampler.window_shape, radius)
         value = vol**vol_exp * (peak * hn) ** (1.0 / pq.q)
         best = max(best, value)

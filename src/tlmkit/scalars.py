@@ -205,16 +205,22 @@ def psi_kappa(t, params: PhiPsiParams):
     return float(psi) if t.ndim == 0 else psi
 
 
-def sequence_power_margin(a: np.ndarray, kappa: float):
-    """(lhs, rhs) of the power-sum bound for one nonnegative sequence, or
-    arrays of them, row by row, for a 2-d batch of sequences (trailing
-    zeros pad the shorter ones without changing their sums)."""
+def _sequence_rows(a) -> np.ndarray:
+    """The float64 rows of a nonempty, finite, nonnegative sequence (one
+    row) or of a 2-d batch of them."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim not in (1, 2) or a.size == 0:
         raise ParameterError("need a nonempty sequence or a 2-d batch of them")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ParameterError("sequence entries must be finite and nonnegative")
-    rows = np.atleast_2d(a)
+    return np.atleast_2d(a)
+
+
+def sequence_power_margin(a: np.ndarray, kappa: float):
+    """(lhs, rhs) of the power-sum bound for one nonnegative sequence, or
+    arrays of them, row by row, for a 2-d batch of sequences (trailing
+    zeros pad the shorter ones without changing their sums)."""
+    rows = _sequence_rows(a)
     totals = rows.sum(axis=1)
     if np.any(totals == 0.0):
         raise ParameterError("the bound requires at least one nonzero entry")
@@ -222,7 +228,7 @@ def sequence_power_margin(a: np.ndarray, kappa: float):
     # a = 0 terms contribute nothing; give them base 1 to avoid 0^(k-1)
     lhs = (rows * np.where(rows > 0, prefix, 1.0) ** (kappa - 1.0)).sum(axis=1)
     rhs = totals**kappa / min(kappa, 1.0)
-    if a.ndim == 1:
+    if np.ndim(a) == 1:
         return float(lhs[0]), float(rhs[0])
     return lhs, rhs
 

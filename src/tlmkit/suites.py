@@ -54,6 +54,7 @@ from .scalars import (
     EXP_LOG_POINTS,
     PhiPsiParams,
     _s_grids,
+    _sequence_rows,
     exp_log_bound_check,
     log_damping_complex_check,
     log_damping_imag_check,
@@ -319,7 +320,7 @@ def run_morrey_suite(cfg: SuiteConfig) -> list:
     radii2 = tuple(sorted(set(base_radii) | {0.5, 0.75, 1.0, 1.25, 1.5}))
     radii3 = tuple(sorted(set(radii2) | set(np.linspace(0.85, 1.15, 7))))
     values = [
-        morrey_norm(indicator, pq, WindowSampler(r, 1, "ball"))
+        morrey_norm(indicator, pq, WindowSampler(r, "ball"))
         for r in (base_radii, radii2, radii3)
     ]
     target = 2.0**0.25
@@ -396,12 +397,7 @@ def summation_ratio(a, params: PhiPsiParams):
 
     It lives beside its one suite so that perfbench's traced runs see the
     suite's own phi_kappa and psi_kappa calls."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.size == 0:
-        raise ParameterError("need a nonempty sequence or a 2-d batch of them")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ParameterError("sequence entries must be finite and nonnegative")
-    rows = np.atleast_2d(a)
+    rows = _sequence_rows(a)
     powers = rows**params.r
     totals = powers.sum(axis=1)
     if np.any(totals == 0.0):
@@ -412,7 +408,7 @@ def summation_ratio(a, params: PhiPsiParams):
     terms[live] = (rows[live] * phi_kappa(prefix[live], params)) ** params.r
     ratios = [safe_ratio(lhs, psi) for lhs, psi in
               zip(terms.sum(axis=1), psi_kappa(totals, params))]
-    return ratios[0] if a.ndim == 1 else np.array(ratios)
+    return ratios[0] if np.ndim(a) == 1 else np.array(ratios)
 
 
 def run_scalar_empirical_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:

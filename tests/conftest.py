@@ -90,7 +90,7 @@ def brute_force_morrey(f, pq, sampler):
             vol = (2.0 * radius) ** spec.dim
         else:
             vol = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}[spec.dim] * radius**spec.dim
-        for c in range(0, a.size, sampler.center_stride):
+        for c in range(a.size):
             off = np.abs(coords - coords[:, c : c + 1])
             off = np.minimum(off, n - off) * h
             if sampler.window_shape == "cube":

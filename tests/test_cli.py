@@ -10,7 +10,8 @@ from tlmkit import BaselineStore, GridSpec, random_bandlimited, write_binary, wr
 from tlmkit.cli import main
 from conftest import spike_field
 
-SMALL = ["--grid-points", "64", "--jmax", "4"]
+GRID64 = ["--grid-points", "64"]  # morrey-norm reads no band count
+SMALL = GRID64 + ["--jmax", "4"]
 
 
 def run(argv, capsys):
@@ -67,9 +68,9 @@ def test_binary_and_csv_input_agree(capsys, tmp_path):
     csv_path = tmp_path / "f.csv"
     write_binary(f, str(bin_path))
     write_csv(f, str(csv_path))
-    code_b, out_b, _ = run(["morrey-norm", "--input", str(bin_path)] + SMALL,
+    code_b, out_b, _ = run(["morrey-norm", "--input", str(bin_path)] + GRID64,
                            capsys)
-    code_c, out_c, _ = run(["morrey-norm", "--input", str(csv_path)] + SMALL,
+    code_c, out_c, _ = run(["morrey-norm", "--input", str(csv_path)] + GRID64,
                            capsys)
     assert code_b == code_c == 0
     assert out_b.split(":")[1] == out_c.split(":")[1]
@@ -108,7 +109,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, name, content):
         path.write_bytes(content)
     else:
         path.write_text(content)
-    code, _, err = run(["morrey-norm", "--input", str(path)] + SMALL, capsys)
+    code, _, err = run(["morrey-norm", "--input", str(path)] + GRID64, capsys)
     assert code == 2
     assert err.startswith("error: ") and str(path) in err
     assert err.count("\n") == 1
@@ -139,7 +140,7 @@ def test_mutated_input_exits_0_or_names_file(capsys, tmp_path_factory,
     path.write_bytes(data)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        code, out, err = run(["morrey-norm", "--input", str(path)] + SMALL, capsys)
+        code, out, err = run(["morrey-norm", "--input", str(path)] + GRID64, capsys)
     if code == 2:
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
@@ -200,17 +201,15 @@ def test_calibrate_writes_then_refuses(capsys, tmp_path, small_cfg, small_store)
 def test_scalar_suite_with_fresh_baseline(capsys, tmp_path, small_cfg, small_store):
     path = tmp_path / "base.json"
     small_store.save(str(path))
-    code, out, _ = run(["scalar-suite", "--grid-points", str(small_cfg.points),
-                        "--jmax", str(small_cfg.j_max),
-                        "--baseline", str(path)], capsys)
+    code, out, _ = run(["scalar-suite", "--baseline", str(path)], capsys)
     assert code == 0
     assert "0 failed" in out
 
 
 def test_report_json_schema(capsys, tmp_path):
     out_path = tmp_path / "report.json"
-    code, _, _ = run(["scalar-suite", "--baseline", "none",
-                      "--out", str(out_path)] + SMALL, capsys)
+    code, _, _ = run(["scalar-suite", "--baseline", "none", "--out", str(out_path)],
+                     capsys)
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["schema_version"] == 1
@@ -272,6 +271,25 @@ def test_weights_beyond_float64_on_empty_bands(capsys, command):
     assert code == 0 and err == ""
     if command == "tlm-norm":
         assert 2.0**790 < float(out.rsplit(":", 1)[1]) < np.inf  # band 2: 2^800 |block|
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--grid-dim", "2"],
+    ["calibrate", "--grid-dim", "2"],
+    ["scalar-suite", "--grid-points", "64"],
+    ["maximal-suite", "--jmax", "4"],
+    ["morrey-norm", "--jmax", "4"],
+    ["morrey-norm", "--stride", "2"],
+], ids=["verify-all-grid-dim", "calibrate-grid-dim", "scalar-suite-grid-points",
+        "maximal-suite-jmax", "morrey-norm-jmax", "morrey-norm-stride"])
+def test_flags_a_command_does_not_read_exit_2(capsys, tmp_path, argv):
+    if argv[0] == "calibrate":
+        argv = argv + ["--out", str(tmp_path / "base.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "base.json").exists()
 
 
 def test_version_flag(capsys):

@@ -11,14 +11,12 @@ from tlmkit.morrey import window_sum
 
 def test_config_validation(spec64):
     with pytest.raises(ParameterError):
-        tk.WindowSampler((), 1, "cube")
+        tk.WindowSampler((), "cube")
     with pytest.raises(ParameterError):
-        tk.WindowSampler((0.5, -0.25), 1, "cube")
+        tk.WindowSampler((0.5, -0.25), "cube")
     f = tk.random_bandlimited(spec64, 2, 1)
     with pytest.raises(ParameterError):  # radius beyond L/2
-        tk.hl_maximal(f, tk.WindowSampler((spec64.length,), 1, "cube"))
-    with pytest.raises(ParameterError):  # the maximal function needs every center
-        tk.hl_maximal(f, tk.WindowSampler.dyadic(spec64, "cube", 2))
+        tk.hl_maximal(f, tk.WindowSampler((spec64.length,), "cube"))
 
 
 def test_constant_function_exact(spec64):

@@ -20,15 +20,12 @@ def test_pair_validation():
 
 def test_sampler_validation(spec64):
     with pytest.raises(ParameterError):
-        tk.WindowSampler((0.5, 0.5), 1, "cube")
+        tk.WindowSampler((0.5, 0.5), "cube")
     with pytest.raises(ParameterError):
-        tk.WindowSampler((0.5,), 1, "pyramid")
-    s = tk.WindowSampler((spec64.length,), 1, "cube")
+        tk.WindowSampler((0.5,), "pyramid")
+    s = tk.WindowSampler((spec64.length,), "cube")
     with pytest.raises(ParameterError):
         s.validate_against(spec64)  # radius beyond L/2
-    s = tk.WindowSampler((0.5,), 3, "cube")
-    with pytest.raises(ParameterError):
-        s.validate_against(spec64)  # stride must divide N
 
 
 def test_dyadic_radii(spec64):
@@ -68,7 +65,7 @@ def test_indicator_oracle_value(spec256):
     pq = tk.LebesguePair(4.0, 2.0)
     base = tk.WindowSampler.dyadic(spec256, "ball").radii
     radii = tuple(sorted(set(base) | {0.5, 0.75, 1.0, 1.25, 1.5}))
-    value = tk.morrey_norm(f, pq, tk.WindowSampler(radii, 1, "ball"))
+    value = tk.morrey_norm(f, pq, tk.WindowSampler(radii, "ball"))
     assert value == pytest.approx(2.0**0.25, rel=0.05)
 
 
@@ -79,7 +76,7 @@ def test_refinement_monotone(spec256):
     for _ in range(2):  # insert the geometric midpoints of consecutive radii
         r = radii[-1]
         radii.append(tuple(sorted(r + tuple(np.sqrt(a * b) for a, b in zip(r, r[1:])))))
-    v1, v2, v3 = (tk.morrey_norm(f, pq, tk.WindowSampler(r, 1, "ball")) for r in radii)
+    v1, v2, v3 = (tk.morrey_norm(f, pq, tk.WindowSampler(r, "ball")) for r in radii)
     assert v1 <= v2 * (1 + 1e-14)
     assert v2 <= v3 * (1 + 1e-14)
 
@@ -116,7 +113,7 @@ def test_norm_homogeneous_near_float_limits(spec64, c):
     f = tk.random_bandlimited(spec64, 3, 99)
     pq = tk.LebesguePair(4.0, 2.0)
     for sampler in (tk.WindowSampler.dyadic(spec64, "cube"),
-                    tk.WindowSampler((0.5,), 1, "cube")):
+                    tk.WindowSampler((0.5,), "cube")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = tk.morrey_norm(c * f, pq, sampler)

@@ -6,7 +6,7 @@ import pytest
 import tlmkit as tk
 from conftest import scaled, spike_field
 from tlmkit.errors import BandCoverageError, ParameterError
-from tlmkit.spaces import coverage_defect, ensure_band_covered
+from tlmkit.spaces import _weighted_blocks, coverage_defect, ensure_band_covered
 
 
 def test_params_validation():
@@ -42,7 +42,12 @@ def test_partial_square_monotone(family_sqrt, sampler256, f_band4):
     for lo, hi in zip(fam.aggregates, fam.aggregates[1:]):
         assert np.all(hi >= lo - 1e-13)
     full = tk.square_function(fam.base, family_sqrt, mid.r, mid.s).values.real
-    assert np.max(np.abs(fam.aggregates[-1] - full)) < 1e-13 * max(full.max(), 1.0)
+    assert np.array_equal(fam.aggregates[-1], full)  # the same l^r aggregate
+    # reference: the running sum over bands, one band at a time
+    running = np.zeros(full.shape)
+    for agg, block in zip(fam.aggregates, _weighted_blocks(family_sqrt, fam.base, mid.s)):
+        running = running + block**mid.r
+        assert np.array_equal(agg, running ** (1.0 / mid.r))
 
 
 def test_truncated_gate_zeroes_out_of_range(spec256, family_plain, f_band4):
