@@ -270,14 +270,14 @@ def cmd_scalar_suite(args) -> int:
     cfg = _config_from_args(args)
     baseline = _resolve_baseline(args.baseline)
     reports = run_scalar_exact_suite(cfg) + run_scalar_empirical_suite(cfg, baseline)
-    return _finish(args, reports, cfg.meta())
+    return _finish(args, reports, cfg.meta(("seed",)))
 
 
 def cmd_maximal_suite(args) -> int:
     cfg = _config_from_args(args)
     baseline = _resolve_baseline(args.baseline)
     reports = run_maximal_suite(cfg, baseline)
-    return _finish(args, reports, cfg.meta())
+    return _finish(args, reports, cfg.meta(("seed", "points", "length", "window_shape")))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,7 +59,7 @@ from .grid import GridFunction
 from .lpaley import LPFamily, project_all
 from .morrey import WindowSampler, _lr_aggregate
 from .report import safe_ratio
-from .spaces import SpaceParams, _weighted_blocks, tlm_norm
+from .spaces import SpaceParams, _tlm_norms, _weighted_blocks, tlm_norm
 
 __all__ = [
     "FAMILY_KINDS",
@@ -217,9 +217,9 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     else:
         base = f
         base_norm = 0.0
-    blocks = tuple(b.values for b in project_all(lp_family, base))
+    blocks = project_all(lp_family, base)
     mid = setup.mid
-    weighted = _weighted_blocks(lp_family, base, mid.s)
+    weighted = _weighted_blocks(lp_family, base, mid.s, blocks)
     aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
     bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
     return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),
@@ -344,10 +344,7 @@ def sum_space_proxy(g: GridFunction, lp_family: LPFamily, end0: SpaceParams,
     An upper bound for the true infimum over all decompositions, monotone
     under enlarging the split family.
     """
-    candidates = [
-        tlm_norm(g, lp_family, end0, sampler),
-        tlm_norm(g, lp_family, end1, sampler),
-    ]
+    candidates = _tlm_norms(g, lp_family, (end0, end1), sampler)
     coeffs = g.coeffs()
     rad = g.spec.frequency_radius
     for level in range(lp_family.j_max + 1):
@@ -416,9 +413,7 @@ def holder_interpolation_check(setup: InterpSetup, fs, lp_family: LPFamily,
         raise ParameterError("need at least one function")
     worst = 0.0
     for g in fs:
-        n_mid = tlm_norm(g, lp_family, setup.mid, sampler)
-        n0 = tlm_norm(g, lp_family, setup.end0, sampler)
-        n1 = tlm_norm(g, lp_family, setup.end1, sampler)
+        n_mid, n0, n1 = _tlm_norms(g, lp_family, (setup.mid, *setup.endpoints), sampler)
         bound = n0 ** (1.0 - setup.theta) * n1**setup.theta
         worst = max(worst, safe_ratio(n_mid, bound))
     return worst

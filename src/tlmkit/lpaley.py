@@ -142,11 +142,23 @@ def project(family: LPFamily, j: int, f: GridFunction) -> GridFunction:
     return _apply_multiplier(f.spec, family.multipliers[j], f.coeffs())
 
 
-def project_all(family: LPFamily, f: GridFunction) -> list:
-    """All blocks [phi_0(D)f, ..., phi_{j_max}(D)f] with one forward DFT."""
+def project_all(family: LPFamily, f: GridFunction) -> np.ndarray:
+    """The block stack phi_0(D)f, ..., phi_{j_max}(D)f.
+
+    A complex array of shape (j_max + 1, *grid shape): one forward DFT
+    (the cached spectrum when f has one), every band multiplied into one
+    preallocated stack, and one batched inverse DFT written back into it.
+    Raises ParameterError if a block leaves float64.
+    """
     _check_same_spec(family, f)
     coeffs = f.coeffs()
-    return [_apply_multiplier(f.spec, m, coeffs) for m in family.multipliers]
+    stack = np.empty((len(family.multipliers),) + f.spec.shape, dtype=np.complex128)
+    for band, mult in zip(stack, family.multipliers):
+        np.multiply(mult, coeffs, out=band)
+    np.fft.ifftn(stack, axes=tuple(range(1, stack.ndim)), norm="ortho", out=stack)
+    if not np.all(np.isfinite(stack)):
+        raise ParameterError("samples must be finite")
+    return stack
 
 
 def partition_residual(family: LPFamily) -> float:

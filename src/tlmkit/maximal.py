@@ -116,8 +116,7 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
     )
     combined = GridFunction(spec, np.fft.ifftn(coeffs, norm="ortho"),
                             spectrum=coeffs)
-    reprojected = project_all(family, combined)[1:]
-    lhs_stack = [b.modulus() for b in reprojected]
+    lhs_stack = np.abs(project_all(family, combined)[1:])
     rhs_stack = [g.modulus() for g in gs]
     lhs = _morrey_norm_array(_lr_aggregate(lhs_stack, r), spec, pq, sampler)
     rhs = _morrey_norm_array(_lr_aggregate(rhs_stack, r), spec, pq, sampler)
@@ -140,8 +139,4 @@ def multiplier_maximal_ratio(f: GridFunction, family: LPFamily,
     if e:
         return multiplier_maximal_ratio(_ldexp(f, -e), family, sampler)
     maximal = _maximal_array(modulus, f.spec, sampler)
-    blocks = project_all(family, f)
-    worst = 0.0
-    for b in blocks:
-        worst = max(worst, float(np.max(b.modulus() / maximal)))
-    return worst
+    return float(np.max(np.abs(project_all(family, f)) / maximal))

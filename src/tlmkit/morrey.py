@@ -119,15 +119,25 @@ def _box_sum_axis(arr: np.ndarray, half_width: int, axis: int) -> np.ndarray:
     if w >= n:
         total = arr.sum(axis=axis, keepdims=True)
         return np.broadcast_to(total, arr.shape).copy()
-    head = arr.take(range(w - 1), axis=axis)
-    ext = np.concatenate([arr, head], axis=axis)
-    csum = np.cumsum(ext, axis=axis)
-    pad_shape = list(csum.shape)
-    pad_shape[axis] = 1
-    csum = np.concatenate([np.zeros(pad_shape), csum], axis=axis)
-    lo = csum.take(range(0, n), axis=axis)
-    hi = csum.take(range(w, n + w), axis=axis)
-    return np.roll(hi - lo, half_width, axis=axis)
+    m = half_width
+
+    def at(start, stop):  # basic slice along ``axis``
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    # prefix sums c_k of arr extended by its first w-1 entries (torus wrap)
+    shape = list(arr.shape)
+    shape[axis] = n + w - 1
+    csum = np.empty(shape)
+    csum[at(0, n)] = arr
+    csum[at(n, None)] = arr[at(0, w - 1)]
+    np.cumsum(csum, axis=axis, out=csum)
+    # the window from i to i+w-1 sums to c_{i+w-1} - c_{i-1} (c_{-1} = 0) and is
+    # centred at i+m, so each difference goes straight to its rolled place
+    out = np.empty(arr.shape)
+    out[at(m, m + 1)] = csum[at(w - 1, w)]
+    np.subtract(csum[at(w, n + m)], csum[at(0, n - m - 1)], out=out[at(m + 1, None)])
+    np.subtract(csum[at(n + m, None)], csum[at(n - m - 1, n - 1)], out=out[at(0, m)])
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -191,11 +201,11 @@ def _shared_spec(fs: list) -> GridSpec:
 
 
 def _lr_aggregate(stack, r: float) -> np.ndarray:
-    """Pointwise l^r norm across a nonempty list of same-shape arrays;
-    r = inf takes the pointwise max."""
+    """Pointwise l^r norm across a nonempty stack of same-shape arrays (a
+    list, or an array whose rows they are); r = inf takes the pointwise max."""
     if not r > 0:
         raise ParameterError(f"r must be positive or inf, got {r}")
-    arr = np.stack(stack)
+    arr = np.asarray(stack)
     if np.isinf(r):
         return arr.max(axis=0)
     e = _rescale_exponent(float(arr.max()), r, len(arr))

@@ -97,35 +97,66 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
         )
 
 
-def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> list:
-    """[|2^{js} phi_j(D) f|] for j = 0..j_max, once f is band-covered."""
-    # the transforms reach size times the peak sample and the weights 2^{j_max s}.
-    # While both stay in float64 the blocks are weighted directly.  Otherwise
-    # the samples are scaled by an exact power of two 2^-e (the blocks are
-    # linear in f) and each weight enters through ldexp as
-    # 2^frac(js) 2^(floor(js) + e), so only a block that leaves float64 raises
-    peak = float(f.modulus().max())
+def _weight_plan(family: LPFamily, f: GridFunction, peak: float, s: float) -> tuple:
+    """(direct, e): how the blocks of f, whose peak sample is ``peak``, take
+    the weights 2^{js}.
+
+    The transforms reach size times the peak sample and the weights
+    2^{j_max s}.  While both stay in float64 the blocks are weighted
+    directly (e = 0).  Otherwise the samples are scaled by an exact power
+    of two 2^-e (the blocks are linear in f) and each weight enters through
+    ldexp as 2^frac(js) 2^(floor(js) + e), so only a block that leaves
+    float64 raises.
+    """
     top = family.j_max * max(s, 0.0)  # log2 of the largest weight
     direct = top < _MAX_EXP and not _rescale_exponent(peak, 1.0, f.spec.size * 2.0**top)
-    e = 0 if direct else math.frexp(peak)[1]
+    return direct, 0 if direct else math.frexp(peak)[1]
+
+
+def _block_moduli(family: LPFamily, f: GridFunction, e: int, blocks=None) -> np.ndarray:
+    """|phi_j(D) (2^-e f)| for j = 0..j_max, once 2^-e f is band-covered.
+
+    ``blocks``, f's own block stack, stands in for the projection at e = 0.
+    """
     if e:
         f = _ldexp(f, -e)
     ensure_band_covered(family, f)
-    blocks = project_all(family, f)
+    if blocks is None or e:
+        blocks = project_all(family, f)
+    return np.abs(blocks)
+
+
+def _weigh(moduli: np.ndarray, s: float, direct: bool, e: int) -> np.ndarray:
+    """The rows 2^{js} moduli[j] 2^e, as _weight_plan set them up."""
+    n_bands = len(moduli)
+    rows = (n_bands,) + (1,) * (moduli.ndim - 1)
     if direct:
-        return [2.0 ** (j * s) * np.abs(b.values) for j, b in enumerate(blocks)]
-    weighted = []
-    for j, b in enumerate(blocks):
-        whole = math.floor(j * s)
-        shift = min(max(whole + e, -_EXP_CLAMP), _EXP_CLAMP)  # past it, 0 or inf anyway
-        with np.errstate(over="ignore"):
-            block = np.ldexp(2.0 ** (j * s - whole) * np.abs(b.values), shift)
-        if np.isinf(block).any():
-            raise ParameterError(
-                f"the weighted block 2^(js)|phi_j(D) f| at j={j}, s={s:g} overflows float64"
-            )
-        weighted.append(block)
+        weights = np.array([2.0 ** (j * s) for j in range(n_bands)])
+        return weights.reshape(rows) * moduli
+    whole = [math.floor(j * s) for j in range(n_bands)]
+    fracs = np.array([2.0 ** (j * s - w) for j, w in enumerate(whole)])
+    # past the clamp every shift gives 0 or inf anyway
+    shifts = np.array([min(max(w + e, -_EXP_CLAMP), _EXP_CLAMP) for w in whole])
+    with np.errstate(over="ignore"):
+        weighted = np.ldexp(fracs.reshape(rows) * moduli, shifts.reshape(rows))
+    bad = np.isinf(weighted).reshape(n_bands, -1).any(axis=1)
+    if bad.any():
+        raise ParameterError(
+            f"the weighted block 2^(js)|phi_j(D) f| at j={int(bad.argmax())}, s={s:g} "
+            "overflows float64"
+        )
     return weighted
+
+
+def _weighted_blocks(family: LPFamily, f: GridFunction, s: float,
+                     blocks=None) -> np.ndarray:
+    """The stack of |2^{js} phi_j(D) f|, j = 0..j_max, once f is band-covered.
+
+    ``blocks``, f's own block stack when the caller has it, is reused
+    unless the weights need a rescaled projection.
+    """
+    direct, e = _weight_plan(family, f, float(f.modulus().max()), s)
+    return _weigh(_block_moduli(family, f, e, blocks), s, direct, e)
 
 
 def square_function(f: GridFunction, family: LPFamily, r: float, s: float) -> GridFunction:
@@ -153,18 +184,35 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
             for j in range(len(weighted))]
 
 
+def _tlm_norms(f: GridFunction, family: LPFamily, params_seq,
+               sampler: WindowSampler) -> list:
+    """tlm_norm of f in each space of ``params_seq``, in order.
+
+    Spaces whose weights need the same power-of-two rescale of f share one
+    coverage check and one projection.
+    """
+    spec = f.spec
+    peak = float(f.modulus().max())
+    moduli = {}  # rescale exponent e -> block moduli of 2^-e f
+    norms = []
+    for params in params_seq:
+        direct, e = _weight_plan(family, f, peak, params.s)
+        if e not in moduli:
+            moduli[e] = _block_moduli(family, f, e)
+        weighted = _weigh(moduli[e], params.s, direct, e)
+        low = _morrey_norm_array(weighted[0], spec, params.pair, sampler)
+        tail = _lr_aggregate(weighted[1:], params.r)  # j_max >= 1: never empty
+        value = low + _morrey_norm_array(tail, spec, params.pair, sampler)
+        if value == np.inf:
+            raise ParameterError("the TLM norm overflows float64")
+        norms.append(value)
+    return norms
+
+
 def tlm_norm(f: GridFunction, family: LPFamily, params: SpaceParams,
              sampler: WindowSampler) -> float:
     """Triebel-Lizorkin-Morrey norm over the sampler's window family."""
-    weighted = _weighted_blocks(family, f, params.s)
-    low = _morrey_norm_array(weighted[0], f.spec, params.pair, sampler)
-    if len(weighted) == 1:
-        return low
-    tail = _lr_aggregate(weighted[1:], params.r)
-    value = low + _morrey_norm_array(tail, f.spec, params.pair, sampler)
-    if value == np.inf:
-        raise ParameterError("the TLM norm overflows float64")
-    return value
+    return _tlm_norms(f, family, (params,), sampler)[0]
 
 
 def diamond_tail(f: GridFunction, family: LPFamily, params: SpaceParams,

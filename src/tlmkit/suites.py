@@ -129,10 +129,10 @@ class SuiteConfig:
     def sampler(self) -> WindowSampler:
         return WindowSampler.dyadic(self.spec(), self.window_shape)
 
-    def meta(self) -> dict:
-        return {"seed": self.seed, "points": self.points, "length": self.length,
-                "j_max": self.j_max, "n_functions": self.n_functions,
-                "window_shape": self.window_shape}
+    def meta(self, fields=("seed", "points", "length", "j_max", "n_functions",
+                           "window_shape")) -> dict:
+        """The named fields, by default all of them, as a report's config."""
+        return {name: getattr(self, name) for name in fields}
 
 
 # endpoint tuples (p, q, r, s) pairs with matching p/q ratios

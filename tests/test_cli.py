@@ -217,6 +217,17 @@ def test_report_json_schema(capsys, tmp_path):
     assert all("check" in r and "verdict" in r for r in doc["checks"])
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["scalar-suite"], {"seed"}),
+    (["maximal-suite", "--grid-points", "64"], {"seed", "points", "length", "window_shape"}),
+], ids=["scalar-suite", "maximal-suite"])
+def test_suite_report_config_lists_what_the_suites_read(capsys, tmp_path, argv, keys):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(argv + ["--baseline", "none", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert set(json.loads(out_path.read_text())["config"]) == keys
+
+
 @pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
 def test_interp_demo_runs(capsys, tmp_path, kind):
     # the 3-D grid needs G's exact spectrum: FFT round-off in its corner

@@ -51,7 +51,7 @@ def test_project_all_matches_project(family_plain, f_band4):
     blocks = tk.project_all(family_plain, f_band4)
     for j in (0, 3, 6):
         single = tk.project(family_plain, j, f_band4)
-        assert np.array_equal(blocks[j].values, single.values)
+        assert np.array_equal(blocks[j], single.values)
 
 
 def test_full_reconstruction_band_limited(spec256, f_band4):

@@ -5,7 +5,7 @@ import pytest
 
 import tlmkit as tk
 from tlmkit.errors import ParameterError
-from tlmkit.morrey import _lr_aggregate
+from tlmkit.morrey import _axis_half_width, _lr_aggregate, window_sum
 from conftest import brute_force_morrey
 
 
@@ -119,3 +119,35 @@ def test_norm_homogeneous_near_float_limits(spec64, c):
             got = tk.morrey_norm(c * f, pq, sampler)
         want = c * tk.morrey_norm(f, pq, sampler)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _reference_box_sum_axis(arr, half_width, axis):
+    """The index-array box filter: take(range) windows of a zero-padded
+    prefix sum, then np.roll onto the window centres."""
+    n = arr.shape[axis]
+    w = 2 * half_width + 1
+    if w >= n:
+        total = arr.sum(axis=axis, keepdims=True)
+        return np.broadcast_to(total, arr.shape).copy()
+    head = arr.take(range(w - 1), axis=axis)
+    ext = np.concatenate([arr, head], axis=axis)
+    csum = np.cumsum(ext, axis=axis)
+    pad_shape = list(csum.shape)
+    pad_shape[axis] = 1
+    csum = np.concatenate([np.zeros(pad_shape), csum], axis=axis)
+    lo = csum.take(range(0, n), axis=axis)
+    hi = csum.take(range(w, n + w), axis=axis)
+    return np.roll(hi - lo, half_width, axis=axis)
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (1, 256), (1, 4096), (2, 16), (2, 128),
+                                        (3, 8), (3, 32)])
+def test_cube_window_sum_matches_reference_box_filter(dim, points):
+    # bit for bit at every dyadic radius and at h/2 (half-width 0)
+    spec = tk.GridSpec(dim, points)
+    values = np.random.default_rng(dim * points).random(spec.shape) ** 3
+    for radius in tk.WindowSampler.dyadic(spec).radii + (spec.spacing / 2.0,):
+        want = values
+        for axis in range(dim):
+            want = _reference_box_sum_axis(want, _axis_half_width(spec, radius), axis)
+        assert np.array_equal(window_sum(spec, values, "cube", radius), want), radius

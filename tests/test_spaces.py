@@ -6,7 +6,7 @@ import pytest
 import tlmkit as tk
 from conftest import scaled, spike_field
 from tlmkit.errors import BandCoverageError, ParameterError
-from tlmkit.spaces import _weighted_blocks, coverage_defect, ensure_band_covered
+from tlmkit.spaces import _tlm_norms, _weighted_blocks, coverage_defect, ensure_band_covered
 
 
 def test_params_validation():
@@ -25,7 +25,7 @@ def test_square_function_matches_blocks(spec256, family_plain, f_band4):
     got = tk.square_function(f_band4, family_plain, r, s).values.real
     blocks = tk.project_all(family_plain, f_band4)
     stack = np.stack([
-        (2.0 ** (j * s) * np.abs(b.values)) ** r for j, b in enumerate(blocks)
+        (2.0 ** (j * s) * np.abs(b)) ** r for j, b in enumerate(blocks)
     ])
     want = stack.sum(axis=0) ** (1.0 / r)
     assert np.max(np.abs(got - want)) < 1e-12 * max(want.max(), 1.0)
@@ -63,7 +63,7 @@ def test_truncated_tails_match_direct_aggregate(family_plain, f_band4):
     r, s, a = 2.5, 0.3, 0.1
     tails = tk.truncated_square_function(f_band4, family_plain, r, s, a)
     assert len(tails) == family_plain.j_max + 1
-    weighted = [2.0 ** (j * s) * np.abs(b.values)
+    weighted = [2.0 ** (j * s) * np.abs(b)
                 for j, b in enumerate(tk.project_all(family_plain, f_band4))]
     full = np.sum([w**r for w in weighted], axis=0) ** (1.0 / r)
     gate = (full >= a) & (full <= 1.0 / a)
@@ -80,9 +80,9 @@ def test_tlm_norm_decomposition(spec256, family_plain, sampler256, f_band4):
     params = tk.SpaceParams(4.0, 2.0, 2.0, 0.5)
     got = tk.tlm_norm(f_band4, family_plain, params, sampler256)
     blocks = tk.project_all(family_plain, f_band4)
-    low = tk.morrey_norm(blocks[0], params.pair, sampler256)
+    low = tk.morrey_norm(tk.GridFunction(spec256, blocks[0]), params.pair, sampler256)
     tail_stack = np.stack([
-        (2.0 ** (j * params.s) * np.abs(b.values)) ** params.r
+        (2.0 ** (j * params.s) * np.abs(b)) ** params.r
         for j, b in enumerate(blocks)
     ][1:])
     agg = tk.GridFunction(spec256, tail_stack.sum(axis=0) ** (1.0 / params.r))
@@ -135,6 +135,40 @@ def test_weighted_blocks_overflow_raises(spec64, r):
                 check(spike, family, params, sampler)
 
 
+@pytest.mark.parametrize("field", ["band-1", "spike"])
+def test_batched_norms_match_single_calls(spec64, field):
+    # one batch mixes spaces with and without a power-of-two rescale: s = 400
+    # weighs the empty bands of the band-1 field beyond float64, and the
+    # spike's transforms leave float64 at any s
+    family = tk.build_family(spec64, 4, "plain")
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    if field == "spike":
+        f = spike_field(spec64)
+        spaces = [tk.SpaceParams(4.0, 2.0, r, s) for s in (0.0, -0.5) for r in (2.0, np.inf)]
+    else:
+        f = 4.0 * tk.random_bandlimited(spec64, 1, 5)  # peak in [2, 4): rescale by 2^-2
+        spaces = [tk.SpaceParams(4.0, 2.0, 2.0, 0.5), tk.SpaceParams(6.0, 3.0, np.inf, 400.0),
+                  tk.SpaceParams(4.0, 2.0, 3.0, -0.5), tk.SpaceParams(8.0, 2.0, 2.0, 400.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _tlm_norms(f, family, spaces, sampler)
+        want = [tk.tlm_norm(f, family, params, sampler) for params in spaces]
+    assert got == want
+
+
+def test_batched_norms_raise_like_the_first_failing_space(spec64):
+    spike = spike_field(spec64)
+    family = tk.build_family(spec64, 4, "plain")
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    spaces = [tk.SpaceParams(4.0, 2.0, 2.0, 0.0), tk.SpaceParams(4.0, 2.0, 2.0, 0.5)]
+    with pytest.raises(ParameterError) as single:
+        tk.tlm_norm(spike, family, spaces[1], sampler)
+    with pytest.raises(ParameterError) as batched:
+        _tlm_norms(spike, family, spaces, sampler)
+    assert str(batched.value) == str(single.value)
+    assert "weighted block" in str(single.value)
+
+
 def test_coverage_guard(spec256):
     family = tk.build_family(spec256, 3, "plain")
     wide = tk.random_bandlimited(spec256, 5, 3)
@@ -159,7 +193,7 @@ def test_persistent_profile_blocks(spec256, family_plain):
     g = tk.persistent_block_function(spec256, family_plain, s=s)
     blocks = tk.project_all(family_plain, g)
     for j, b in enumerate(blocks):
-        peak = float((2.0 ** (j * s)) * np.abs(b.values).max())
+        peak = float((2.0 ** (j * s)) * np.abs(b).max())
         assert peak == pytest.approx(1.0, rel=1e-10), f"band {j} peak {peak}"
 
 
