@@ -147,8 +147,9 @@ def project_all(family: LPFamily, f: GridFunction) -> np.ndarray:
 
     A complex array of shape (j_max + 1, *grid shape): one forward DFT
     (the cached spectrum when f has one), every band multiplied into one
-    preallocated stack, and one batched inverse DFT written back into it.
-    Raises ParameterError if a block leaves float64.
+    preallocated stack, and one batched inverse DFT written back into it
+    (the ``out=`` argument of numpy.fft needs numpy 2.0). Raises
+    ParameterError if a block leaves float64.
     """
     _check_same_spec(family, f)
     coeffs = f.coeffs()
