@@ -18,7 +18,7 @@ from . import __version__
 from .errors import BandCoverageError, BaselineError, ParameterError, QuadratureError
 from .grid import GridFunction, GridSpec, random_bandlimited, read_binary, read_csv
 from .interp import build_analytic_family, make_setup
-from .lpaley import build_family
+from .lpaley import build_family, top_band
 from .morrey import LebesguePair, WindowSampler, morrey_norm
 from .report import BaselineStore, report_payload, write_json
 from .spaces import (
@@ -69,7 +69,9 @@ _OPTIONS = {
                           help="points per axis, power of two (default 256)"),
     "--grid-length": dict(type=float, default=2.0 * np.pi,
                           help="torus side length (default 2*pi)"),
-    "--jmax": dict(type=int, default=6, help="top dyadic band (default 6)"),
+    "--jmax": dict(type=int, default=None,
+                   help="top dyadic band (default 6, or for the field commands the "
+                        "largest band their grid admits if that is smaller)"),
     "--seed": dict(type=int, default=20260813, help="corpus seed"),
     "--windows": dict(choices=("cube", "ball"), default="cube",
                       help="window shape for Morrey sups (default cube)"),
@@ -112,9 +114,18 @@ _CONFIG_FLAGS = {"seed": "seed", "points": "grid_points", "length": "grid_length
 
 
 def _config_from_args(args) -> SuiteConfig:
-    """The suite config from the command's flags; the others keep their defaults."""
+    """The suite config from the command's flags; the others, and an unset
+    --jmax, keep their defaults."""
     return SuiteConfig(**{field: getattr(args, flag) for field, flag in _CONFIG_FLAGS.items()
-                          if hasattr(args, flag)})
+                          if getattr(args, flag, None) is not None})
+
+
+def _band_count(args, spec: GridSpec) -> int:
+    """--jmax, else the suites' default or the grid's top band if that is smaller."""
+    if args.jmax is not None:
+        return args.jmax
+    # below band 1 the grid is too coarse, and build_family's error names its Nyquist limit
+    return min(SuiteConfig.j_max, max(1, top_band(spec)))
 
 
 def _resolve_baseline(token: str):
@@ -141,11 +152,11 @@ def _load_input(args, spec: GridSpec) -> GridFunction:
     return f
 
 
-def _input_or_demo(args, spec: GridSpec) -> GridFunction:
+def _input_or_demo(args, spec: GridSpec, j_max: int) -> GridFunction:
     """The --input samples, else the seeded band-limited demo function."""
     if args.input:
         return _load_input(args, spec)
-    return random_bandlimited(spec, min(4, args.jmax - 1), args.seed + _DEMO_SEED_OFFSET)
+    return random_bandlimited(spec, min(4, j_max - 1), args.seed + _DEMO_SEED_OFFSET)
 
 
 def _print_reports(reports) -> int:
@@ -213,27 +224,29 @@ def cmd_morrey_norm(args) -> int:
 
 def cmd_tlm_norm(args) -> int:
     spec = _spec_from_args(args)
-    f = _input_or_demo(args, spec)
+    j_max = _band_count(args, spec)
+    f = _input_or_demo(args, spec, j_max)
     params = SpaceParams(args.p, args.q, args.r, args.s)
-    family = build_family(spec, args.jmax, args.flavor)
+    family = build_family(spec, j_max, args.flavor)
     sampler = _sampler_from_args(args, spec)
     value = tlm_norm(f, family, params, sampler)
     print(f"tlm-norm p={args.p:g} q={args.q:g} r={args.r:g} s={args.s:g}: {value:.12g}")
     if args.out:
         write_json(args.out, {"norm": value, "p": args.p, "q": args.q,
-                              "r": args.r, "s": args.s, "j_max": args.jmax,
+                              "r": args.r, "s": args.s, "j_max": j_max,
                               "flavor": args.flavor})
     return EXIT_OK
 
 
 def cmd_diamond_check(args) -> int:
     spec = _spec_from_args(args)
-    family = build_family(spec, args.jmax, "plain")
+    j_max = _band_count(args, spec)
+    family = build_family(spec, j_max, "plain")
     params = SpaceParams(args.p, args.q, args.r, args.s)
     if args.profile == "persistent" and not args.input:
         f = persistent_block_function(spec, family, s=args.s)
     else:
-        f = _input_or_demo(args, spec)
+        f = _input_or_demo(args, spec, j_max)
     sampler = _sampler_from_args(args, spec)
     rep = diamond_criterion(f, family, params, sampler)
     _print_reports([rep])
@@ -250,8 +263,9 @@ def cmd_interp_demo(args) -> int:
     setup = make_setup(args.theta,
                        SpaceParams(args.p0, args.q0, args.r0, args.s0),
                        SpaceParams(args.p1, args.q1, args.r1, args.s1))
-    f = _input_or_demo(args, spec)
-    family = build_family(spec, args.jmax, "square_root")
+    j_max = _band_count(args, spec)
+    f = _input_or_demo(args, spec, j_max)
+    family = build_family(spec, j_max, "square_root")
     sampler = _sampler_from_args(args, spec)
     fam = build_analytic_family(args.kind, setup, f, family, sampler)
 

@@ -38,12 +38,19 @@ only keeps intermediates finite.  The family caches log V_nu (and, for
 four-exponent, log|b_nu| and sgn b_nu) where both bases are nonzero, so
 an evaluation is exponentials, j_max + 1 FFTs and one inverse FFT.
 
-G(z) integrates F along the straight segment from theta by Gauss-Legendre
-quadrature; the integrand is entire in z pointwise, so doubling the node
-count is a spectral-accuracy cross-check (enforced by default, to QUAD_TOL).
-F is linear in the quadrature weights, so a rule is one weighted pass of
-family_F over all its nodes: the band sums of node exponentials go through
-the transforms once, not once per node.  G carries the rules' spectra.
+G(z) = integral of F from theta to z (the primitive of Calderon's second
+complex method, which the paper reaches through Bergh's formula) is
+computed in closed form.  Every exponent is affine in z, so on each live
+point of band nu the integrand is carrier * exp(E + (z - a) beta) with
+real slope beta, and its integral over a segment [a, b] is
+
+    carrier * exp(E) * (b - a) * exprel((b - a) beta),   exprel(w) = expm1(w)/w,
+
+one exponential and one expm1 per live point and band, then the same
+j_max + 2 transforms as one evaluation of F; G carries its spectrum.  A
+composite Gauss-Legendre rule (one weighted family_F pass per unit-length
+chunk; F is linear in the node weights) stays as the independent oracle
+that the contour-quadrature check compares with it, to QUAD_TOL.
 The checks return numbers; the suites module turns them into verdicts.
 """
 
@@ -80,8 +87,8 @@ __all__ = [
 
 FAMILY_KINDS = ("exponent-shift", "four-exponent")
 
-QUAD_NODES = 32  # Gauss-Legendre nodes per unit-length chunk of a segment
-QUAD_TOL = 1e-9  # relative l2 gap allowed between the n- and 2n-node rules
+QUAD_NODES = 32  # Gauss-Legendre nodes per unit-length chunk of the oracle rule
+QUAD_TOL = 1e-9  # relative l2 gap allowed between an oracle rule and the closed form
 HOLOMORPHY_PROBES = 20  # random functionals of the Cauchy-Riemann probe
 HOLOMORPHY_STEP = 2e-4  # stencil step of its difference quotients
 _NODE_BLOCK_ELEMENTS = 1 << 18  # (nodes x live points) per block of exponentials
@@ -237,6 +244,26 @@ def _node_exponents(fam: AnalyticFamily, z: np.ndarray) -> tuple:
             (rho(setup, 2, z), rho(setup, 4, z)))
 
 
+def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
+    """sum_nu phi_nu(D) t_nu, where band_term(nu, band) gives t_nu on the
+    band's live points (zero elsewhere): one FFT per band with live points
+    and one inverse FFT.  Raises ParameterError naming ``what`` if the
+    result leaves float64."""
+    spec = fam.base.spec
+    acc = np.zeros(spec.shape, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nu, (band, mult) in enumerate(zip(fam.bands, fam.lp_family.multipliers)):
+            if band.live.size == 0:
+                continue
+            term = np.zeros(spec.size, dtype=np.complex128)
+            term[band.live] = band_term(nu, band)
+            acc += mult * np.fft.fftn(term.reshape(spec.shape), norm="ortho")
+        values = np.fft.ifftn(acc, norm="ortho")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} overflows float64")
+    return GridFunction(spec, values, spectrum=acc)
+
+
 def family_F(fam: AnalyticFamily, z, weights=None) -> GridFunction:
     """The analytic family at z, or the weighted sum sum_k w_k F(z_k).
 
@@ -255,16 +282,13 @@ def family_F(fam: AnalyticFamily, z, weights=None) -> GridFunction:
         raise ParameterError(
             f"need one weight per node, got {weights.shape} weights for {z.shape} nodes"
         )
-    spec = fam.base.spec
     exp_2, exp_norm, row_exps = _node_exponents(fam, z)
     if fam.base_norm > 0.0:
         coef = weights * np.exp(exp_norm * np.log(fam.base_norm))
     else:
         coef = np.zeros(z.shape, dtype=np.complex128)  # 0^w = 0
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    for nu, (band, mult) in enumerate(zip(fam.bands, fam.lp_family.multipliers)):
-        if band.live.size == 0:
-            continue
+
+    def band_term(nu, band):
         band_coef = coef * np.exp(exp_2 * nu * np.log(2.0))
         step = max(1, _NODE_BLOCK_ELEMENTS // band.live.size)
         summed = np.zeros(band.live.size, dtype=np.complex128)
@@ -276,14 +300,46 @@ def family_F(fam: AnalyticFamily, z, weights=None) -> GridFunction:
             np.exp(expo, out=expo)
             # not BLAS: a threaded matrix product is far slower at these sizes
             summed += np.einsum("k,kn->n", band_coef[block], expo)
-        term = np.zeros(spec.size, dtype=np.complex128)
-        term[band.live] = band.carrier * summed
-        acc += mult * np.fft.fftn(term.reshape(spec.shape), norm="ortho")
-    values = np.fft.ifftn(acc, norm="ortho")
-    if not np.all(np.isfinite(values)):
-        where = f"z={z[0]}" if z.size == 1 else f"{z.size} nodes z={z[0]}..{z[-1]}"
-        raise ArithmeticError(f"family value at {where} is not finite")
-    return GridFunction(spec, values, spectrum=acc)
+        return band.carrier * summed
+
+    where = f"z={z[0]}" if z.size == 1 else f"{z.size} nodes z={z[0]}..{z[-1]}"
+    return _synthesize(fam, band_term, f"the family value at {where}")
+
+
+def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> GridFunction:
+    """integral of F along the straight segment from z_from to z_to, exactly.
+
+    On a live point of band nu the integrand is carrier * exp(E + t beta),
+    t = z - z_from, with E the exponent at z_from and beta its real slope
+    in z, so the integral is carrier * exp(E) * d * exprel(d beta) with
+    d = z_to - z_from.  Each point is anchored at the end where its
+    exponent has the larger real part (there exprel's argument has real
+    part <= 0 and |exprel| <= 1), so no intermediate leaves float64 unless
+    the integrand does.  The result carries its spectrum.
+    """
+    z_from, z_to = complex(z_from), complex(z_to)
+    if z_to == z_from or fam.base_norm == 0.0:  # 0^w = 0
+        zeros = np.zeros(fam.base.spec.shape, dtype=np.complex128)
+        return GridFunction(fam.base.spec, zeros, spectrum=zeros)
+    d = z_to - z_from
+    exp_2, exp_norm, row_exps = _node_exponents(fam, np.array([z_from, 0.0, 1.0]))
+    log_norm = np.log(fam.base_norm)
+
+    def band_term(nu, band):
+        def exponent(k):  # of the band's live points at z_from, 0 and 1
+            return (exp_norm[k] * log_norm + exp_2[k] * (nu * np.log(2.0))
+                    + sum(e[k] * log for e, log in zip(row_exps, band.logs)))
+
+        expo = exponent(0)
+        w = d * (exponent(2) - exponent(1)).real  # d * beta, beta real
+        rising = w.real > 0.0
+        expo = np.where(rising, expo + w, expo)
+        w = np.where(rising, -w, w)
+        rel = np.ones_like(w)  # exprel(0) = 1
+        np.divide(np.expm1(w), w, out=rel, where=w != 0.0)
+        return band.carrier * np.exp(expo) * d * rel
+
+    return _synthesize(fam, band_term, f"G on the segment [{z_from}, {z_to}]")
 
 
 def _segment_rule(fam: AnalyticFamily, z_from: complex, z_to: complex,
@@ -293,46 +349,22 @@ def _segment_rule(fam: AnalyticFamily, z_from: complex, z_to: complex,
     return family_F(fam, points, weights) * ((z_to - z_from) / 2.0)
 
 
-def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex,
-                     n_nodes: int = QUAD_NODES, check: bool = True) -> GridFunction:
-    """integral of F along the straight segment, composite Gauss-Legendre.
-
-    Segments longer than 1 are split into unit-length chunks so the node
-    count tracks the oscillation of the integrand up the strip.  Each rule
-    is one weighted ``family_F`` pass over its nodes (F is linear in the
-    node weights), with the nodes cached per count.  With
-    ``check`` each chunk is recomputed at double the node count and the
-    two must agree to QUAD_TOL relative in the grid l2 norm.  The result
-    carries the sum of the rules' spectra.
-    """
+def _segment_quadrature(fam: AnalyticFamily, z_from: complex, z_to: complex,
+                        n_nodes: int) -> GridFunction:
+    """The oracle for segment_integral: composite Gauss-Legendre, n_nodes
+    per unit-length chunk (so the node count tracks the oscillation of the
+    integrand up the strip), each rule one weighted family_F pass."""
     z_from, z_to = complex(z_from), complex(z_to)
-    spec = fam.base.spec
-    zeros = np.zeros(spec.shape, dtype=np.complex128)
-    total = GridFunction(spec, zeros, spectrum=zeros)
-    if z_to == z_from:
-        return total
     n_chunks = max(1, int(np.ceil(abs(z_to - z_from))))
     cuts = [z_from + (z_to - z_from) * k / n_chunks for k in range(n_chunks + 1)]
-    for za, zb in zip(cuts[:-1], cuts[1:]):
-        rule = _segment_rule(fam, za, zb, n_nodes)
-        if check:
-            fine = _segment_rule(fam, za, zb, 2 * n_nodes)
-            scale = float(np.linalg.norm(fine.values.ravel()))
-            gap = float(np.linalg.norm((fine.values - rule.values).ravel()))
-            if gap > QUAD_TOL * max(scale, 1e-300):
-                raise ParameterError(
-                    f"contour quadrature not converged on [{za}, {zb}]: "
-                    f"relative gap {gap / max(scale, 1e-300):.2e} with {n_nodes} nodes"
-                )
-            rule = fine
-        total = total + rule
-    return total
+    rules = [_segment_rule(fam, za, zb, n_nodes) for za, zb in zip(cuts[:-1], cuts[1:])]
+    return sum(rules[1:], rules[0])
 
 
-def family_G(fam: AnalyticFamily, z: complex, check: bool = True) -> GridFunction:
-    """G(z) = integral from theta to z of F (QUAD_NODES per unit chunk, checked
-    against twice as many unless ``check`` is off); G(theta) is exactly zero."""
-    return segment_integral(fam, fam.setup.theta, z, QUAD_NODES, check)
+def family_G(fam: AnalyticFamily, z: complex) -> GridFunction:
+    """G(z) = integral from theta to z of F, in closed form; G(theta) is
+    exactly zero."""
+    return segment_integral(fam, fam.setup.theta, z)
 
 
 def sum_space_proxy(g: GridFunction, lp_family: LPFamily, end0: SpaceParams,

@@ -29,6 +29,7 @@ __all__ = [
     "LPFamily",
     "smooth_step",
     "build_family",
+    "top_band",
     "project",
     "project_all",
     "partition_residual",
@@ -97,6 +98,11 @@ class LPFamily:
         return self.profile.flavor == "square_root"
 
 
+def top_band(spec: GridSpec) -> int:
+    """The largest j_max with 2**(j_max+1) <= Nyquist, the most build_family accepts."""
+    return int(np.floor(np.log2(spec.nyquist * (1.0 + 1e-12)))) - 1
+
+
 def build_family(
     spec: GridSpec,
     j_max: int,
@@ -106,7 +112,7 @@ def build_family(
     """Sample the dyadic family on the lattice; needs 2**(j_max+1) <= Nyquist."""
     if j_max < 1:
         raise ParameterError(f"j_max must be >= 1, got {j_max}")
-    if 2.0 ** (j_max + 1) > spec.nyquist * (1.0 + 1e-12):
+    if j_max > top_band(spec):
         raise ParameterError(
             f"2**(j_max+1) = {2**(j_max + 1)} exceeds grid Nyquist {spec.nyquist:g}"
         )

@@ -248,6 +248,20 @@ def test_interp_demo_runs(capsys, tmp_path, kind):
                    for c in ("lipschitz[side=0]", "lipschitz[side=1]", "global-growth"))
 
 
+@pytest.mark.parametrize("command", ["tlm-norm", "diamond-check", "interp-demo"])
+def test_default_jmax_follows_the_grid(capsys, tmp_path, command):
+    # 2**(6+1) exceeds the Nyquist band 32 of 64 points, so --jmax defaults to 4
+    grid = ["--grid-dim", "2", "--grid-points", "64"]
+    out_path = tmp_path / "out.json"
+    code, out, err = run([command, "--out", str(out_path)] + grid, capsys)
+    assert code == 0 and err == ""
+    _, explicit, _ = run([command, "--out", str(out_path)] + grid + ["--jmax", "4"], capsys)
+    runtimes_aside = [line.rsplit("(", 1)[0] for line in explicit.splitlines()]
+    assert [line.rsplit("(", 1)[0] for line in out.splitlines()] == runtimes_aside
+    if command == "tlm-norm":
+        assert json.loads(out_path.read_text())["j_max"] == 4
+
+
 @pytest.mark.parametrize("command", ["tlm-norm", "diamond-check"])
 def test_overflowing_blocks_exit_2(capsys, tmp_path, command):
     # with s = 0.5 the weighted blocks of a sample at 1.7e308 leave float64

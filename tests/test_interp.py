@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ import tlmkit as tk
 from tlmkit import interp
 from tlmkit.errors import ParameterError
 from tlmkit.interp import (
+    QUAD_NODES,
+    _segment_quadrature,
     family_F,
     family_G,
     holomorphy_residual,
@@ -12,7 +17,7 @@ from tlmkit.interp import (
     segment_integral,
     sum_space_proxy,
 )
-from tlmkit.suites import LIPSCHITZ_SPREAD, growth_report, lipschitz_report
+from tlmkit.suites import HOLDER_SETUPS, LIPSCHITZ_SPREAD, _setup, growth_report, lipschitz_report
 
 
 def collapse_setup():
@@ -87,16 +92,53 @@ def test_anchor_and_segment_additivity(built_family):
     direct = family_G(built_family, z).values
     split = (segment_integral(built_family, setup.theta, w)
              + segment_integral(built_family, w, z)).values
-    assert np.max(np.abs(direct - split)) < 1e-10 * max(np.abs(direct).max(), 1e-30)
+    assert np.max(np.abs(direct - split)) < 1e-13 * max(np.abs(direct).max(), 1e-30)
+
+
+def test_zero_length_segment_is_exactly_zero(built_family):
+    for z in (built_family.setup.theta, 0.3 - 0.8j, 1.0):
+        g = segment_integral(built_family, z, z)
+        assert np.all(g.values == 0.0) and np.all(g.coeffs() == 0.0)
 
 
 def test_long_contour_chunking(built_family):
-    # a long vertical segment converges (chunked rule, checked internally)
+    # a long vertical segment: the closed form against the chunked 48-node rule
     g = segment_integral(built_family, built_family.setup.theta, 0.5 + 5j)
-    dense = segment_integral(built_family, built_family.setup.theta, 0.5 + 5j,
-                             n_nodes=48, check=False)
+    dense = _segment_quadrature(built_family, built_family.setup.theta, 0.5 + 5j, 48)
     scale = np.linalg.norm(dense.values)
-    assert np.linalg.norm((g - dense).values) < 1e-9 * scale
+    assert np.linalg.norm((g - dense).values) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
+@pytest.mark.parametrize("grid", [(1, 256, 6), (2, 64, 4), (3, 16, 2)],
+                         ids=["1d-256", "2d-64", "3d-16"])
+def test_closed_form_matches_quadrature_oracle(kind, grid):
+    dim, points, j_max = grid
+    spec = tk.GridSpec(dim, points)
+    family = tk.build_family(spec, j_max, "square_root")
+    sampler = tk.WindowSampler.dyadic(spec, "cube")
+    f = tk.random_bandlimited(spec, j_max - 1, 91, real_output=False)
+    for entry in HOLDER_SETUPS:
+        setup = _setup(entry)
+        fam = tk.build_analytic_family(kind, setup, f, family, sampler)
+        th = setup.theta
+        for z in (th + 8j, th + 1e-4, 1 + 0.01j, 0.0, 1.0, -2j):
+            exact = segment_integral(fam, th, z).values
+            oracle = _segment_quadrature(fam, th, z, 2 * QUAD_NODES).values
+            gap = np.linalg.norm(exact - oracle) / np.linalg.norm(oracle)
+            assert gap <= 1e-12, (entry, z, gap)
+
+
+def test_family_values_beyond_float64_raise(built_family):
+    # log V_nu scaled by 1e3 puts exp(e(0) log V_nu) far beyond float64 where V_nu < 1
+    bands = tuple(dataclasses.replace(b, logs=b.logs * 1e3) for b in built_family.bands)
+    fam = dataclasses.replace(built_family, bands=bands)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflows float64"):
+            family_F(fam, 0.0)
+        with pytest.raises(ParameterError, match="overflows float64"):
+            segment_integral(fam, fam.setup.theta, 0.0)
 
 
 def test_collapse_between_kinds(spec256, family_sqrt, sampler256):
