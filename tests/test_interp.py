@@ -190,6 +190,25 @@ def test_holomorphy_residual_small(built_family):
     assert res < 1e-6
 
 
+def test_holomorphy_residual_on_steep_exponents(spec256, family_sqrt, sampler256):
+    # slopes near 130: the plain 2e-4 stencil's truncation error alone read 2.3e-4
+    setup = tk.make_setup(0.001, tk.SpaceParams(1000, 1000, 2, 0.0),
+                          tk.SpaceParams(1.01, 1.01, 2, 0.0))
+    f = tk.random_bandlimited(spec256, 4, 314)
+    fam = tk.build_analytic_family("exponent-shift", setup, f, family_sqrt, sampler256)
+    assert holomorphy_residual(fam, setup.theta + 0.1 + 0.2j, seed=3) < 1e-9
+
+
+def test_holomorphy_residual_flags_a_map_that_is_not_holomorphic(built_family, monkeypatch):
+    exact = interp.segment_integral
+
+    def skewed(fam, z_from, z_to):  # adds conj(z_to - z_from) * base
+        return exact(fam, z_from, z_to) + fam.base * np.conj(complex(z_to) - complex(z_from))
+
+    monkeypatch.setattr(interp, "segment_integral", skewed)
+    assert holomorphy_residual(built_family, 0.45 + 0.3j, seed=3) > 0.1
+
+
 def test_boundary_lipschitz_gates(built_family, sampler256):
     pairs = [(0.0, 0.1), (0.0, 0.5), (0.1, 0.6)]
     ratios = tk.boundary_lipschitz_check(built_family, 0, pairs, sampler256)
