@@ -376,19 +376,18 @@ def sum_space_proxy(g: GridFunction, lp_family: LPFamily, end0: SpaceParams,
     An upper bound for the true infimum over all decompositions, monotone
     under enlarging the split family.
     """
-    candidates = _tlm_norms(g, lp_family, (end0, end1), sampler)
     coeffs = g.coeffs()
     rad = g.spec.frequency_radius
+    lows = []
     for level in range(lp_family.j_max + 1):
         low_part = np.where(rad <= 2.0**level * (1 + 1e-12), coeffs, 0)
-        low = GridFunction(g.spec, np.fft.ifftn(low_part, norm="ortho"),
-                           spectrum=low_part)
-        high = g - low
-        candidates.append(
-            tlm_norm(low, lp_family, end0, sampler)
-            + tlm_norm(high, lp_family, end1, sampler)
-        )
-    return min(candidates)
+        lows.append(GridFunction(g.spec, np.fft.ifftn(low_part, norm="ortho"),
+                                 spectrum=low_part))
+    # g itself heads both corpora: the two trivial splits
+    norms0 = _tlm_norms([g, *lows], lp_family, (end0,), sampler)
+    norms1 = _tlm_norms([g, *(g - low for low in lows)], lp_family, (end1,), sampler)
+    splits = [low[0] + high[0] for low, high in zip(norms0[1:], norms1[1:])]
+    return min([norms0[0][0], norms1[0][0], *splits])
 
 
 def boundary_lipschitz_check(fam: AnalyticFamily, side: int, t_pairs,
@@ -403,14 +402,14 @@ def boundary_lipschitz_check(fam: AnalyticFamily, side: int, t_pairs,
     if side not in (0, 1):
         raise ParameterError(f"side must be 0 or 1, got {side}")
     params = fam.setup.endpoints[side]
-    ratios = []
+    t_pairs = list(t_pairs)
+    diffs = []
     for t_a, t_b in t_pairs:
         if t_a == t_b:
             raise ParameterError("need distinct boundary points")
-        diff = segment_integral(fam, side + 1j * t_b, side + 1j * t_a)
-        norm = tlm_norm(diff, fam.lp_family, params, sampler)
-        ratios.append(norm / abs(t_a - t_b))
-    return ratios
+        diffs.append(segment_integral(fam, side + 1j * t_b, side + 1j * t_a))
+    norms = _tlm_norms(diffs, fam.lp_family, (params,), sampler)
+    return [norm / abs(t_a - t_b) for (norm,), (t_a, t_b) in zip(norms, t_pairs)]
 
 
 def global_growth_check(fam: AnalyticFamily, z_samples,
@@ -444,8 +443,7 @@ def holder_interpolation_check(setup: InterpSetup, fs, lp_family: LPFamily,
     if not fs:
         raise ParameterError("need at least one function")
     worst = 0.0
-    for g in fs:
-        n_mid, n0, n1 = _tlm_norms(g, lp_family, (setup.mid, *setup.endpoints), sampler)
+    for n_mid, n0, n1 in _tlm_norms(fs, lp_family, (setup.mid, *setup.endpoints), sampler):
         bound = n0 ** (1.0 - setup.theta) * n1**setup.theta
         worst = max(worst, safe_ratio(n_mid, bound))
     return worst

@@ -32,7 +32,7 @@ from .morrey import (
     LebesguePair,
     WindowSampler,
     _lr_aggregate,
-    _morrey_norm_array,
+    _morrey_norms,
     _shared_spec,
     window_count,
     window_sum,
@@ -85,8 +85,8 @@ def vector_maximal_check(fs, r: float, pq: LebesguePair,
         raise ParameterError(f"need r > 1 or inf, got {r}")
     moduli = [f.modulus() for f in fs]
     maxed = [_maximal_array(m, spec, sampler) for m in moduli]
-    lhs = _morrey_norm_array(_lr_aggregate(maxed, r), spec, pq, sampler)
-    rhs = _morrey_norm_array(_lr_aggregate(moduli, r), spec, pq, sampler)
+    lhs, rhs = _morrey_norms([_lr_aggregate(maxed, r), _lr_aggregate(moduli, r)],
+                             spec, pq, sampler)
     return safe_ratio(lhs, rhs)
 
 
@@ -118,8 +118,8 @@ def projection_stability_check(gs, family: LPFamily, start_band: int, r: float,
                             spectrum=coeffs)
     lhs_stack = np.abs(project_all(family, combined)[1:])
     rhs_stack = [g.modulus() for g in gs]
-    lhs = _morrey_norm_array(_lr_aggregate(lhs_stack, r), spec, pq, sampler)
-    rhs = _morrey_norm_array(_lr_aggregate(rhs_stack, r), spec, pq, sampler)
+    lhs, rhs = _morrey_norms([_lr_aggregate(lhs_stack, r), _lr_aggregate(rhs_stack, r)],
+                             spec, pq, sampler)
     return safe_ratio(lhs, rhs)
 
 

@@ -19,6 +19,13 @@ radius).  Ball windows use circular FFT convolution against the 0/1
 offset stencil of the window, which wraps correctly and costs
 O(N^n log N) per radius.
 
+Window sums take stacks: leading axes are a batch, and the box filters
+and transforms run over the trailing grid axes only.  A scan of many
+same-grid arrays (the low and tail rows of a corpus, a run of tails)
+stacks them in blocks of at most _ROW_BLOCK_ELEMENTS samples and makes
+one window-sum call per radius per block; every row keeps its own
+power-of-two rescale and gets the same bits as a scan of it alone.
+
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
 L^p norm up to pure summation rounding.
@@ -49,6 +56,8 @@ _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
 # inclusive window membership: points at distance exactly R belong
 _EDGE_TOL = 1.0 + 1e-12
+# samples per stack of rows scanned together; a larger row is scanned alone
+_ROW_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -171,21 +180,23 @@ def window_sum(spec: GridSpec, values: np.ndarray, window_shape: str,
                radius: float) -> np.ndarray:
     """Sum of ``values`` over the window around every grid point.
 
-    ``values`` is a real array on ``spec.shape``; the result has the same
-    shape, entry x holding sum_{y in W(x,R)} values[y] with torus wrap.
+    ``values`` is a real array of shape (*batch, *spec.shape); the result
+    has the same shape, entry (b, x) holding sum_{y in W(x,R)} values[b, y]
+    with torus wrap.  Each row of the batch gets the bits it would get alone.
     """
     if window_shape not in WINDOW_SHAPES:
         raise ParameterError(f"unknown window shape {window_shape!r}")
+    grid_axes = tuple(range(values.ndim - spec.dim, values.ndim))
     if window_shape == "cube":
         out = values
         m = _axis_half_width(spec, radius)
-        for axis in range(spec.dim):
+        for axis in grid_axes:
             out = _box_sum_axis(out, m, axis)
         return out
     stencil_hat, _ = _ball_stencil_data(spec.dim, spec.points, spec.length, radius)
-    vhat = np.fft.fftn(values)
+    vhat = np.fft.fftn(values, axes=grid_axes)
     # stencil is symmetric under negation, so convolution == correlation
-    out = np.fft.ifftn(vhat * stencil_hat).real
+    out = np.fft.ifftn(vhat * stencil_hat, axes=grid_axes).real
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -214,28 +225,57 @@ def _lr_aggregate(stack, r: float) -> np.ndarray:
     return (arr**r).sum(axis=0) ** (1.0 / r)
 
 
-def _morrey_norm_array(modulus: np.ndarray, spec: GridSpec, pq: LebesguePair,
-                       sampler: WindowSampler) -> float:
+def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
+                  sampler: WindowSampler) -> list:
+    """Morrey norm of each nonnegative array of ``rows`` (on spec.shape), in
+    order.
+
+    A row whose q-th powers would leave float64 is scanned alone, scaled by
+    an exact power of two; the others are stacked in blocks of at most
+    _ROW_BLOCK_ELEMENTS samples and scanned one window sum per radius per
+    block.
+    """
     sampler.validate_against(spec)
-    # a ball window's FFT convolution passes through size^2 times the peak power
-    e = _rescale_exponent(float(modulus.max()), pq.q, float(modulus.size) ** 2)
-    if e:
-        value = _morrey_norm_array(np.ldexp(modulus, -e), spec, pq, sampler)
-        return float(_ldexp_back(value, e, "a Morrey norm"))
-    g = modulus**pq.q
+    norms = [None] * len(rows)
+    plain = []
+    for i, row in enumerate(rows):
+        # a ball window's FFT convolution passes through size^2 times the peak power
+        e = _rescale_exponent(float(row.max()), pq.q, float(row.size) ** 2)
+        if e:
+            value = _morrey_norms([np.ldexp(row, -e)], spec, pq, sampler)[0]
+            norms[i] = float(_ldexp_back(value, e, "a Morrey norm"))
+        else:
+            plain.append(i)
+    per_block = max(1, _ROW_BLOCK_ELEMENTS // spec.size)
+    for lo in range(0, len(plain), per_block):
+        block = plain[lo:lo + per_block]
+        if len(block) == 1:
+            stack = rows[block[0]][np.newaxis]  # a view, no copy
+        else:
+            stack = np.stack([rows[i] for i in block])
+        for i, value in zip(block, _scan_stack(stack, spec, pq, sampler)):
+            norms[i] = value
+    return norms
+
+
+def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
+                sampler: WindowSampler) -> list:
+    """Morrey norm of each row of ``stack``, whose q-th powers stay in float64."""
+    g = stack**pq.q
     hn = spec.cell_volume
     vol_exp = 1.0 / pq.p - 1.0 / pq.q
-    best = 0.0
+    best = [0.0] * len(stack)
     for radius in sampler.radii:
         sums = window_sum(spec, g, sampler.window_shape, radius)
-        peak = float(sums.max())
         vol = window_volume(spec, sampler.window_shape, radius)
-        value = vol**vol_exp * (peak * hn) ** (1.0 / pq.q)
-        best = max(best, value)
+        peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
+        # Python floats, so each row's value has the bits of a scan of it alone
+        best = [max(b, vol**vol_exp * (peak * hn) ** (1.0 / pq.q))
+                for b, peak in zip(best, peaks)]
     return best
 
 
 def morrey_norm(f: GridFunction, pq: LebesguePair, sampler: WindowSampler) -> float:
     """Discrete Morrey norm of |f| over the sampler's window family."""
-    return _morrey_norm_array(f.modulus(), f.spec, pq, sampler)
+    return _morrey_norms([f.modulus()], f.spec, pq, sampler)[0]
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BandCoverageError, ParameterError
 from .grid import _MAX_EXP, GridFunction, GridSpec, _ldexp, _rescale_exponent
 from .lpaley import LPFamily, project_all, reconstruct
-from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norm_array
+from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norms, _shared_spec
 from .report import VerificationReport, safe_ratio
 
 __all__ = [
@@ -184,35 +184,65 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
             for j in range(len(weighted))]
 
 
-def _tlm_norms(f: GridFunction, family: LPFamily, params_seq,
-               sampler: WindowSampler) -> list:
-    """tlm_norm of f in each space of ``params_seq``, in order.
+def _tlm_norms(fs, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
+    """tlm_norm of each function of ``fs`` in each space of ``params_seq``: a
+    table with one row per function and one column per space.
 
-    Spaces whose weights need the same power-of-two rescale of f share one
-    coverage check and one projection.
+    A function's spaces whose weights need the same power-of-two rescale
+    share one coverage check and one projection.  Each space scans the low
+    and tail rows of the whole corpus in one _morrey_norms call.  On failure
+    it raises what the first failing function raises alone.
     """
-    spec = f.spec
-    peak = float(f.modulus().max())
-    moduli = {}  # rescale exponent e -> block moduli of 2^-e f
-    norms = []
-    for params in params_seq:
-        direct, e = _weight_plan(family, f, peak, params.s)
-        if e not in moduli:
-            moduli[e] = _block_moduli(family, f, e)
-        weighted = _weigh(moduli[e], params.s, direct, e)
-        low = _morrey_norm_array(weighted[0], spec, params.pair, sampler)
-        tail = _lr_aggregate(weighted[1:], params.r)  # j_max >= 1: never empty
-        value = low + _morrey_norm_array(tail, spec, params.pair, sampler)
-        if value == np.inf:
+    fs = list(fs)
+    try:
+        return _tlm_table(fs, family, params_seq, sampler)
+    except (ParameterError, BandCoverageError):
+        # an earlier function that fails alone raises its own error here;
+        # if none does, the error came from the last function
+        for f in fs[:-1]:
+            _tlm_table([f], family, params_seq, sampler)
+        raise
+
+
+def _tlm_table(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
+    if not fs:
+        return []
+    spec = _shared_spec(fs)
+    n = len(fs)
+    # per space, the low rows of every function, then their tail rows: a
+    # corpus keeps them in one array per space, not 2n small ones that
+    # fragment the heap; a lone function keeps its own two rows
+    if n > 1:
+        rows = np.empty((len(params_seq), 2 * n) + spec.shape)
+    else:
+        rows = [[None, None] for _ in params_seq]
+    for i, f in enumerate(fs):
+        peak = float(f.modulus().max())
+        moduli = {}  # rescale exponent e -> block moduli of 2^-e f
+        for k, params in enumerate(params_seq):
+            direct, e = _weight_plan(family, f, peak, params.s)
+            if e not in moduli:
+                moduli[e] = _block_moduli(family, f, e)
+            weighted = _weigh(moduli[e], params.s, direct, e)
+            rows[k][n + i] = _lr_aggregate(weighted[1:], params.r)  # j_max >= 1
+            # copied once the tail's temporaries are gone; a view would keep
+            # the weighted stack alive
+            rows[k][i] = weighted[0].copy()
+        moduli = weighted = None  # only the rows outlive a function's blocks
+    columns = []
+    for params, space_rows in zip(params_seq, rows):
+        norms = _morrey_norms(space_rows, spec, params.pair, sampler)
+        column = [low + tail for low, tail in zip(norms[:n], norms[n:])]
+        if np.inf in column:
             raise ParameterError("the TLM norm overflows float64")
-        norms.append(value)
-    return norms
+        columns.append(column)
+    return [[column[i] for column in columns] for i in range(n)]
 
 
 def tlm_norm(f: GridFunction, family: LPFamily, params: SpaceParams,
              sampler: WindowSampler) -> float:
     """Triebel-Lizorkin-Morrey norm over the sampler's window family."""
-    return _tlm_norms(f, family, (params,), sampler)[0]
+    return _tlm_norms([f], family, (params,), sampler)[0][0]
 
 
 def diamond_tail(f: GridFunction, family: LPFamily, params: SpaceParams,
@@ -245,7 +275,7 @@ def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
     worst_last = 0.0
     for a in DIAMOND_CUTOFFS:
         tails = truncated_square_function(f, family, params.r, params.s, a)
-        norms = [_morrey_norm_array(tail, f.spec, params.pair, sampler) for tail in tails]
+        norms = _morrey_norms(tails, f.spec, params.pair, sampler)
         sequences[a] = norms
         first, last = norms[0], norms[-1]
         worst_first = max(worst_first, first)

@@ -49,7 +49,7 @@ from .maximal import (
     projection_stability_check,
     vector_maximal_check,
 )
-from .morrey import LebesguePair, WindowSampler, morrey_norm
+from .morrey import LebesguePair, WindowSampler, _morrey_norms, morrey_norm
 from .report import BaselineStore, VerificationReport, safe_ratio
 from .scalars import (
     EXP_LOG_POINTS,
@@ -66,6 +66,7 @@ from .scalars import (
 )
 from .spaces import (
     SpaceParams,
+    _tlm_norms,
     diamond_criterion,
     diamond_tail,
     persistent_block_function,
@@ -300,10 +301,11 @@ def run_morrey_suite(cfg: SuiteConfig) -> list:
     corpus2 = _corpus(cfg, spec2, min(10, cfg.n_functions), tag=2)
     worst = 0.0
     n_checked = 0
-    for batch, sampler in ((corpus, sampler1), (corpus2, sampler2)):
-        for f in batch:
-            for p in (2.0, 2.7, 4.0):
-                got = morrey_norm(f, LebesguePair(p, p), sampler)
+    for batch, spec, sampler in ((corpus, spec1, sampler1), (corpus2, spec2, sampler2)):
+        moduli = [f.modulus() for f in batch]
+        for p in (2.0, 2.7, 4.0):
+            norms = _morrey_norms(moduli, spec, LebesguePair(p, p), sampler)
+            for f, got in zip(batch, norms):
                 want = lp_norm(f, p)
                 worst = max(worst, abs(got - want) / want)
                 n_checked += 1
@@ -642,11 +644,10 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     t0 = time.perf_counter()
     plain = build_family(spec, cfg.j_max, "plain")
     params = SpaceParams(4.0, 2.0, 2.0, 0.0)
-    ratios = [
-        safe_ratio(tlm_norm(f, plain, params, sampler),
-                   morrey_norm(f, params.pair, sampler))
-        for f in _corpus(cfg, spec, 20, tag=5)
-    ]
+    corpus = _corpus(cfg, spec, 20, tag=5)
+    morrey_norms = _morrey_norms([f.modulus() for f in corpus], spec, params.pair, sampler)
+    ratios = [safe_ratio(tlm, m) for (tlm,), m in
+              zip(_tlm_norms(corpus, plain, (params,), sampler), morrey_norms)]
     reports.append(_range_report("identity-collapse", ratios, baseline, t0,
                                  {"p": 4.0, "q": 2.0, "n_functions": 20}))
     return reports
@@ -772,11 +773,10 @@ def run_diamond_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     # profile robustness: two admissible profiles give equivalent norms
     t0 = time.perf_counter()
     alt_family = build_family(spec, cfg.j_max, "plain", sharpness=2.0)
-    ratios = [
-        safe_ratio(tlm_norm(f, family, params, sampler),
-                   tlm_norm(f, alt_family, params, sampler))
-        for f in _corpus(cfg, spec, 15, tag=6)
-    ]
+    corpus = _corpus(cfg, spec, 15, tag=6)
+    ratios = [safe_ratio(a, b) for (a,), (b,) in zip(
+        _tlm_norms(corpus, family, (params,), sampler),
+        _tlm_norms(corpus, alt_family, (params,), sampler))]
     reports.append(_range_report("profile-equivalence", ratios, baseline, t0,
                                  {"sharpness_pair": [1.0, 2.0], "n_functions": 15}))
     return reports

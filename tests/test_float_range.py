@@ -55,7 +55,7 @@ def _entry_points(grid: str):
         yield f"morrey_norm[{shape}]", lambda f, w=sampler: tk.morrey_norm(f, PQ, w)
     yield "hl_maximal", lambda f: tk.hl_maximal(f, cube).values.real.max()
     yield "multiplier_maximal_ratio", lambda f: tk.multiplier_maximal_ratio(f, family, cube)
-    yield "tlm_norms", lambda f: max(_tlm_norms(f, family, SPACES, cube))
+    yield "tlm_norms", lambda f: max(_tlm_norms([f], family, SPACES, cube)[0])
     for params in SPACES:
         r, s = params.r, params.s
         yield f"tlm_norm[s={s},r={r}]", \

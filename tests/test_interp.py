@@ -221,6 +221,10 @@ def test_boundary_lipschitz_gates(built_family, sampler256):
         tk.boundary_lipschitz_check(built_family, 2, pairs, sampler256)
 
 
+def test_boundary_lipschitz_without_pairs(built_family, sampler256):
+    assert tk.boundary_lipschitz_check(built_family, 1, [], sampler256) == []
+
+
 def test_sum_space_proxy_bounds(spec256, family_sqrt, sampler256):
     setup = collapse_setup()
     g = tk.random_bandlimited(spec256, 4, 55)

@@ -5,7 +5,9 @@ import pytest
 
 import tlmkit as tk
 from tlmkit.errors import ParameterError
-from tlmkit.morrey import _axis_half_width, _lr_aggregate, window_sum
+from tlmkit import morrey
+from tlmkit.grid import _rescale_exponent
+from tlmkit.morrey import _axis_half_width, _lr_aggregate, _morrey_norms, window_sum, window_volume
 from conftest import brute_force_morrey
 
 
@@ -151,3 +153,57 @@ def test_cube_window_sum_matches_reference_box_filter(dim, points):
         for axis in range(dim):
             want = _reference_box_sum_axis(want, _axis_half_width(spec, radius), axis)
         assert np.array_equal(window_sum(spec, values, "cube", radius), want), radius
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+@pytest.mark.parametrize("dim,points", [(1, 256), (1, 4096), (2, 64), (3, 16)])
+def test_window_sum_of_a_stack_matches_rows(shape, dim, points):
+    # leading batch axes (2, 3): each row gets the bits of a call on it alone
+    spec = tk.GridSpec(dim, points)
+    stack = np.random.default_rng(dim * points).random((2, 3) + spec.shape) ** 3
+    for radius in tk.WindowSampler.dyadic(spec).radii + (spec.spacing / 2.0,):
+        got = window_sum(spec, stack, shape, radius)
+        assert got.shape == stack.shape
+        for b in np.ndindex(2, 3):
+            assert np.array_equal(got[b], window_sum(spec, stack[b], shape, radius)), (b, radius)
+
+
+def _reference_morrey_norm(row, spec, pq, sampler):
+    """The one-row scan: one window sum per radius over the row alone."""
+    e = _rescale_exponent(float(row.max()), pq.q, float(row.size) ** 2)
+    if e:
+        return float(np.ldexp(_reference_morrey_norm(np.ldexp(row, -e), spec, pq, sampler), e))
+    g = row**pq.q
+    vol_exp = 1.0 / pq.p - 1.0 / pq.q
+    best = 0.0
+    for radius in sampler.radii:
+        peak = float(window_sum(spec, g, sampler.window_shape, radius).max())
+        vol = window_volume(spec, sampler.window_shape, radius)
+        best = max(best, vol**vol_exp * (peak * spec.cell_volume) ** (1.0 / pq.q))
+    return best
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+@pytest.mark.parametrize("block_rows", [None, 3, 0.5])
+def test_morrey_norms_match_single_scans(spec256, monkeypatch, shape, block_rows):
+    # the default block holds every row; 3 rows splits the stack across
+    # blocks; half a row makes every row larger than one block
+    if block_rows is not None:
+        monkeypatch.setattr(morrey, "_ROW_BLOCK_ELEMENTS", int(block_rows * spec256.size))
+    rng = np.random.default_rng(7)
+    # peaks 2^600 and 2^-600 need a power-of-two rescale at q = 3, the rest do not
+    rows = [np.ldexp(rng.random(spec256.shape), k)
+            for k in (0, 600, 3, -600, -20, 0, 0, 10)]
+    rows[5][:] = 0.0
+    # enough plain rows that numpy's array power would round some values
+    # unlike the Python-float power of a scan of one row
+    rows += [rng.random(spec256.shape) ** 3 for _ in range(56)]
+    pq = tk.LebesguePair(6.0, 3.0)
+    sampler = tk.WindowSampler.dyadic(spec256, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _morrey_norms(rows, spec256, pq, sampler)
+    want = [tk.morrey_norm(tk.GridFunction(spec256, row), pq, sampler) for row in rows]
+    assert got == want
+    assert got == [_reference_morrey_norm(row, spec256, pq, sampler) for row in rows]
+    assert _morrey_norms([], spec256, pq, sampler) == []

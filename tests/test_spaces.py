@@ -151,9 +151,9 @@ def test_batched_norms_match_single_calls(spec64, field):
                   tk.SpaceParams(4.0, 2.0, 3.0, -0.5), tk.SpaceParams(8.0, 2.0, 2.0, 400.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _tlm_norms(f, family, spaces, sampler)
+        got = _tlm_norms([f], family, spaces, sampler)
         want = [tk.tlm_norm(f, family, params, sampler) for params in spaces]
-    assert got == want
+    assert got == [want]
 
 
 def test_batched_norms_raise_like_the_first_failing_space(spec64):
@@ -164,9 +164,41 @@ def test_batched_norms_raise_like_the_first_failing_space(spec64):
     with pytest.raises(ParameterError) as single:
         tk.tlm_norm(spike, family, spaces[1], sampler)
     with pytest.raises(ParameterError) as batched:
-        _tlm_norms(spike, family, spaces, sampler)
+        _tlm_norms([spike], family, spaces, sampler)
     assert str(batched.value) == str(single.value)
     assert "weighted block" in str(single.value)
+
+
+def test_corpus_norms_match_single_calls(spec64):
+    # the spike needs a power-of-two rescale, the band-1 field does not
+    family = tk.build_family(spec64, 4, "plain")
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    fs = [4.0 * tk.random_bandlimited(spec64, 1, 5), spike_field(spec64)]
+    spaces = [tk.SpaceParams(4.0, 2.0, 2.0, 0.0), tk.SpaceParams(6.0, 3.0, np.inf, -0.5),
+              tk.SpaceParams(4.0, 2.0, 3.0, -0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _tlm_norms(fs, family, spaces, sampler)
+        want = [[tk.tlm_norm(f, family, params, sampler) for params in spaces] for f in fs]
+    assert got == want
+    assert _tlm_norms([], family, spaces, sampler) == []
+
+
+def test_corpus_norms_raise_like_the_first_failing_function(spec64):
+    # the flat field fails in its Morrey scan, after the spike would fail in
+    # its weighting: the corpus still raises the flat field's error
+    family = tk.build_family(spec64, 4, "plain")
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    flat = tk.GridFunction(spec64, np.full(spec64.shape, 1.7e308))
+    fs = [tk.random_bandlimited(spec64, 1, 5), flat, spike_field(spec64)]
+    params = tk.SpaceParams(4.0, 2.0, 2.0, 0.5)
+    errors = []
+    for corpus in (fs, [flat], [fs[0], fs[2]], [fs[2]]):
+        with pytest.raises(ParameterError) as exc:
+            _tlm_norms(corpus, family, (params,), sampler)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and "Morrey norm" in errors[0]
+    assert errors[2] == errors[3] and "weighted block" in errors[2]
 
 
 def test_coverage_guard(spec256):
