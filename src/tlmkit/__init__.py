@@ -34,7 +34,6 @@ from .interp import (
     sum_space_proxy,
 )
 from .lpaley import (
-    BumpProfile,
     LPFamily,
     build_family,
     partition_residual,

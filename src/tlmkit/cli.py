@@ -56,6 +56,12 @@ def _parse_radii(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad radii list {text!r}: {exc}")
 
 
+def _parse_seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_r(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return float("inf")
@@ -72,7 +78,7 @@ _OPTIONS = {
     "--jmax": dict(type=int, default=None,
                    help="top dyadic band (default 6, or for the field commands the "
                         "largest band their grid admits if that is smaller)"),
-    "--seed": dict(type=int, default=20260813, help="corpus seed"),
+    "--seed": dict(type=_parse_seed, default=20260813, help="corpus seed (non-negative)"),
     "--windows": dict(choices=("cube", "ball"), default="cube",
                       help="window shape for Morrey sups (default cube)"),
     "--radii": dict(type=_parse_radii, default=None,

@@ -213,7 +213,7 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     """
     if kind not in FAMILY_KINDS:
         raise ParameterError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
-    if kind == "exponent-shift" and not lp_family.squared:
+    if kind == "exponent-shift" and lp_family.flavor != "square_root":
         raise ParameterError(
             "exponent-shift families need the square-root multiplier flavor"
         )

@@ -25,7 +25,6 @@ from .errors import ParameterError
 from .grid import GridFunction, GridSpec, _check_same_spec
 
 __all__ = [
-    "BumpProfile",
     "LPFamily",
     "smooth_step",
     "build_family",
@@ -61,41 +60,20 @@ def smooth_step(t, sharpness: float = 1.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BumpProfile:
-    """Scalar profile generating a dyadic family.
+class LPFamily:
+    """Multipliers phi_0 .. phi_{j_max} sampled on a grid's frequency lattice.
 
     flavor "plain": the multipliers themselves sum to 1.
     flavor "square_root": the *squares* of the multipliers sum to 1
     (profile g**(1/2), still pinched between the two indicators after
-    squaring).
+    squaring).  sharpness: that of the smooth_step profile g.
     """
 
-    flavor: str = "plain"
-    sharpness: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ParameterError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
-        if not (self.sharpness > 0 and np.isfinite(self.sharpness)):
-            raise ParameterError(f"sharpness must be positive, got {self.sharpness}")
-
-    def step(self, t) -> np.ndarray:
-        """The underlying monotone step g (before any square root)."""
-        return smooth_step(t, self.sharpness)
-
-
-@dataclass(frozen=True)
-class LPFamily:
-    """Multipliers phi_0 .. phi_{j_max} sampled on a grid's frequency lattice."""
-
     spec: GridSpec
-    profile: BumpProfile
+    flavor: str
+    sharpness: float
     j_max: int
     multipliers: tuple
-
-    @property
-    def squared(self) -> bool:
-        return self.profile.flavor == "square_root"
 
 
 def top_band(spec: GridSpec) -> int:
@@ -116,19 +94,22 @@ def build_family(
         raise ParameterError(
             f"2**(j_max+1) = {2**(j_max + 1)} exceeds grid Nyquist {spec.nyquist:g}"
         )
-    profile = BumpProfile(flavor, sharpness)
+    if flavor not in FLAVORS:
+        raise ParameterError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+    if not (sharpness > 0 and np.isfinite(sharpness)):
+        raise ParameterError(f"sharpness must be positive, got {sharpness}")
     rad = spec.frequency_radius
-    steps = [profile.step(rad / 2.0**j) for j in range(j_max + 1)]
+    steps = [smooth_step(rad / 2.0**j, sharpness) for j in range(j_max + 1)]
     mults = []
     for j in range(j_max + 1):
         if j == 0:
             band = steps[0]
         else:
             band = steps[j] - steps[j - 1]
-        if profile.flavor == "square_root":
+        if flavor == "square_root":
             band = np.sqrt(np.clip(band, 0.0, None))
         mults.append(band)
-    return LPFamily(spec, profile, j_max, tuple(mults))
+    return LPFamily(spec, flavor, sharpness, j_max, tuple(mults))
 
 
 def _apply_multiplier(spec, mult: np.ndarray, coeffs: np.ndarray) -> GridFunction:
@@ -174,7 +155,7 @@ def partition_residual(family: LPFamily) -> float:
     "sum" is the plain sum for the plain flavor and the sum of squares for
     the square-root flavor; both telescope to exactly 1 on the region.
     """
-    if family.squared:
+    if family.flavor == "square_root":
         total = sum(m**2 for m in family.multipliers)
     else:
         total = sum(family.multipliers)
@@ -197,8 +178,8 @@ def reconstruct(family: LPFamily, f: GridFunction, n_terms: int) -> GridFunction
     if not 0 <= n_terms <= family.j_max:
         raise ParameterError(f"n_terms {n_terms} outside 0..{family.j_max}")
     _check_same_spec(family, f)
-    if family.squared:
+    if family.flavor == "square_root":
         total = sum(m**2 for m in family.multipliers[: n_terms + 1])
     else:
-        total = family.profile.step(family.spec.frequency_radius / 2.0**n_terms)
+        total = smooth_step(family.spec.frequency_radius / 2.0**n_terms, family.sharpness)
     return _apply_multiplier(f.spec, total, f.coeffs())

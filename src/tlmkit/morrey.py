@@ -230,31 +230,28 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
     """Morrey norm of each nonnegative array of ``rows`` (on spec.shape), in
     order.
 
-    A row whose q-th powers would leave float64 is scanned alone, scaled by
-    an exact power of two; the others are stacked in blocks of at most
-    _ROW_BLOCK_ELEMENTS samples and scanned one window sum per radius per
-    block.
+    Rows are stacked in blocks of at most _ROW_BLOCK_ELEMENTS samples and
+    scanned one window sum per radius per block.  A row whose q-th powers
+    would leave float64 is scaled by an exact power of two in its block,
+    and its norm is scaled back.
     """
     sampler.validate_against(spec)
-    norms = [None] * len(rows)
-    plain = []
-    for i, row in enumerate(rows):
-        # a ball window's FFT convolution passes through size^2 times the peak power
-        e = _rescale_exponent(float(row.max()), pq.q, float(row.size) ** 2)
-        if e:
-            value = _morrey_norms([np.ldexp(row, -e)], spec, pq, sampler)[0]
-            norms[i] = float(_ldexp_back(value, e, "a Morrey norm"))
-        else:
-            plain.append(i)
+    # a ball window's FFT convolution passes through size^2 times the peak power
+    exps = [_rescale_exponent(float(row.max()), pq.q, float(row.size) ** 2)
+            for row in rows]
     per_block = max(1, _ROW_BLOCK_ELEMENTS // spec.size)
-    for lo in range(0, len(plain), per_block):
-        block = plain[lo:lo + per_block]
+    norms = []
+    for lo in range(0, len(rows), per_block):
+        block, block_exps = rows[lo:lo + per_block], exps[lo:lo + per_block]
         if len(block) == 1:
-            stack = rows[block[0]][np.newaxis]  # a view, no copy
+            stack = block[0][np.newaxis]  # a view, no copy
         else:
-            stack = np.stack([rows[i] for i in block])
-        for i, value in zip(block, _scan_stack(stack, spec, pq, sampler)):
-            norms[i] = value
+            stack = np.stack(block)
+        if any(block_exps):
+            shifts = -np.array(block_exps).reshape((-1,) + (1,) * spec.dim)
+            stack = np.ldexp(stack, shifts)
+        for e, value in zip(block_exps, _scan_stack(stack, spec, pq, sampler)):
+            norms.append(float(_ldexp_back(value, e, "a Morrey norm")) if e else value)
     return norms
 
 

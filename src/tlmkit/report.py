@@ -6,7 +6,7 @@ import datetime
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -61,18 +61,7 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "parameters": self.parameters,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "verdict": self.verdict,
-            "empirical_constant": self.empirical_constant,
-            "baseline_constant": self.baseline_constant,
-            "runtime": self.runtime,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _strict(obj):

@@ -184,7 +184,7 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
             for j in range(len(weighted))]
 
 
-def _tlm_norms(fs, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
+def _tlm_norms(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
     """tlm_norm of each function of ``fs`` in each space of ``params_seq``: a
     table with one row per function and one column per space.
 
@@ -193,50 +193,40 @@ def _tlm_norms(fs, family: LPFamily, params_seq, sampler: WindowSampler) -> list
     and tail rows of the whole corpus in one _morrey_norms call.  On failure
     it raises what the first failing function raises alone.
     """
-    fs = list(fs)
     try:
-        return _tlm_table(fs, family, params_seq, sampler)
+        if not fs:
+            return []
+        spec = _shared_spec(fs)
+        n = len(fs)
+        # per space, the low rows of every function, then their tail rows
+        rows = [[None] * (2 * n) for _ in params_seq]
+        for i, f in enumerate(fs):
+            peak = float(f.modulus().max())
+            moduli = {}  # rescale exponent e -> block moduli of 2^-e f
+            for k, params in enumerate(params_seq):
+                direct, e = _weight_plan(family, f, peak, params.s)
+                if e not in moduli:
+                    moduli[e] = _block_moduli(family, f, e)
+                weighted = _weigh(moduli[e], params.s, direct, e)
+                rows[k][n + i] = _lr_aggregate(weighted[1:], params.r)  # j_max >= 1
+                # copied once the tail's temporaries are gone; a view would keep
+                # the weighted stack alive
+                rows[k][i] = weighted[0].copy()
+            moduli = weighted = None  # only the rows outlive a function's blocks
+        columns = []
+        for params, space_rows in zip(params_seq, rows):
+            norms = _morrey_norms(space_rows, spec, params.pair, sampler)
+            column = [low + tail for low, tail in zip(norms[:n], norms[n:])]
+            if np.inf in column:
+                raise ParameterError("the TLM norm overflows float64")
+            columns.append(column)
+        return [[column[i] for column in columns] for i in range(n)]
     except (ParameterError, BandCoverageError):
         # an earlier function that fails alone raises its own error here;
         # if none does, the error came from the last function
         for f in fs[:-1]:
-            _tlm_table([f], family, params_seq, sampler)
+            _tlm_norms([f], family, params_seq, sampler)
         raise
-
-
-def _tlm_table(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
-    if not fs:
-        return []
-    spec = _shared_spec(fs)
-    n = len(fs)
-    # per space, the low rows of every function, then their tail rows: a
-    # corpus keeps them in one array per space, not 2n small ones that
-    # fragment the heap; a lone function keeps its own two rows
-    if n > 1:
-        rows = np.empty((len(params_seq), 2 * n) + spec.shape)
-    else:
-        rows = [[None, None] for _ in params_seq]
-    for i, f in enumerate(fs):
-        peak = float(f.modulus().max())
-        moduli = {}  # rescale exponent e -> block moduli of 2^-e f
-        for k, params in enumerate(params_seq):
-            direct, e = _weight_plan(family, f, peak, params.s)
-            if e not in moduli:
-                moduli[e] = _block_moduli(family, f, e)
-            weighted = _weigh(moduli[e], params.s, direct, e)
-            rows[k][n + i] = _lr_aggregate(weighted[1:], params.r)  # j_max >= 1
-            # copied once the tail's temporaries are gone; a view would keep
-            # the weighted stack alive
-            rows[k][i] = weighted[0].copy()
-        moduli = weighted = None  # only the rows outlive a function's blocks
-    columns = []
-    for params, space_rows in zip(params_seq, rows):
-        norms = _morrey_norms(space_rows, spec, params.pair, sampler)
-        column = [low + tail for low, tail in zip(norms[:n], norms[n:])]
-        if np.inf in column:
-            raise ParameterError("the TLM norm overflows float64")
-        columns.append(column)
-    return [[column[i] for column in columns] for i in range(n)]
 
 
 def tlm_norm(f: GridFunction, family: LPFamily, params: SpaceParams,

@@ -220,28 +220,17 @@ def _gated_report(check_id: str, value: float, baseline, stable: bool,
     )
 
 
-def _drift_report(check_id: str, consts, baseline, t0: float,
-                  parameters: dict) -> VerificationReport:
-    """One-sided gate of the fine-grid constant of ``consts`` = (coarse,
-    fine); the stability probe is its drift from the coarse-grid one."""
+def _pair_report(check_id: str, consts, baseline, t0: float, parameters: dict,
+                 tol: float = STABILITY_TOL, two_sided: bool = True) -> VerificationReport:
+    """Gate of the fine constant of ``consts`` = (coarse, fine), two-sided
+    or one-sided; the stability probe asks for a positive fine constant
+    whose drift from the coarse one is at most ``tol``."""
     coarse, fine = consts
     drift = abs(safe_ratio(coarse, fine) - 1.0)
     return _gated_report(
-        check_id, fine, baseline, drift <= RESOLUTION_MARGIN and fine > 0, t0,
-        two_sided=False, parameters=parameters,
+        check_id, fine, baseline, drift <= tol and fine > 0, t0,
+        two_sided=two_sided, parameters=parameters,
         details={"coarse_constant": coarse, "drift": drift},
-    )
-
-
-def _refined_report(check_id: str, consts, baseline, t0: float,
-                    parameters: dict) -> VerificationReport:
-    """Two-sided gate of the refined constant of ``consts`` = (coarse,
-    refined); the stability probe is its drift from the coarse one."""
-    coarse, refined = consts
-    drift = abs(safe_ratio(coarse, refined) - 1.0)
-    return _gated_report(
-        check_id, refined, baseline, drift <= STABILITY_TOL, t0,
-        parameters=parameters, details={"coarse_constant": coarse, "drift": drift},
     )
 
 
@@ -419,12 +408,12 @@ def run_scalar_empirical_suite(cfg: SuiteConfig, baseline: BaselineStore = None)
     n_grid = int(_s_grids()[0].size)  # the log-damping scans' coarse grid
     for z, r in _LOG_COMPLEX_CASES:
         t0 = time.perf_counter()
-        reports.append(_refined_report(
+        reports.append(_pair_report(
             f"log-complex[z={z},r={_fmt(r)}]", log_damping_complex_check(z, r),
             baseline, t0, {"z": repr(z), "r": r, "n_points": n_grid}))
     for t, r in _LOG_IMAG_CASES:
         t0 = time.perf_counter()
-        reports.append(_refined_report(
+        reports.append(_pair_report(
             f"log-imag[t={_fmt(t)},r={_fmt(r)}]", log_damping_imag_check(t, r),
             baseline, t0, {"t": t, "r": r, "n_points": n_grid}))
 
@@ -451,7 +440,7 @@ def run_scalar_empirical_suite(cfg: SuiteConfig, baseline: BaselineStore = None)
 
     for h, eps in _EXP_LOG_CASES:
         t0 = time.perf_counter()
-        reports.append(_refined_report(
+        reports.append(_pair_report(
             f"exp-log[h={h},eps={_fmt(eps)}]", exp_log_bound_check(h, eps),
             baseline, t0, {"h": repr(h), "eps": eps, "n_points": EXP_LOG_POINTS}))
     return reports
@@ -660,8 +649,13 @@ _MAXIMAL_COMBOS = ((4.0, 2.0, 2.0), (6.0, 3.0, 3.0), (4.0, 2.0, np.inf))
 
 def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     reports = []
-    coarse = GridSpec(1, cfg.points // 2, cfg.length)
     fine = GridSpec(1, cfg.points, cfg.length)
+    if fine.nyquist / 2 < 8.0:  # the half grid's draws below need max_band >= 1
+        raise ParameterError(
+            f"the maximal suite needs its half grid's Nyquist pi*N/(2L) >= 8, got "
+            f"{fine.nyquist / 2:g}: raise --grid-points N or lower --grid-length L"
+        )
+    coarse = GridSpec(1, cfg.points // 2, cfg.length)
     sampler = WindowSampler.dyadic(coarse, cfg.window_shape)  # same windows on both grids
     max_band = int(np.log2(coarse.nyquist)) - 2
 
@@ -681,11 +675,11 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
         t0 = time.perf_counter()
         consts = [max(vector_maximal_check(tup, r, pq, sampler) for tup in tuples)
                   for tuples in (tuples_coarse, tuples_fine)]
-        reports.append(_drift_report(
+        reports.append(_pair_report(
             f"vector-maximal[p={_fmt(p)},q={_fmt(q)},r={_fmt(r)}]", consts, baseline, t0,
             {"p": p, "q": q, "r": r,
              "coarse_points": coarse.points, "fine_points": fine.points},
-        ))
+            tol=RESOLUTION_MARGIN, two_sided=False))
 
     j_band = min(5, int(np.log2(coarse.nyquist)) - 1)
     fams = (build_family(coarse, j_band, "plain"), build_family(fine, j_band, "plain"))
@@ -712,12 +706,12 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
                 for tup in tuples)
             for tuples, fam in zip((band_tuples_coarse, band_tuples_fine), fams)
         ]
-        reports.append(_drift_report(
+        reports.append(_pair_report(
             f"projection-stability[p={_fmt(p)},q={_fmt(q)},r={_fmt(r)}]",
             consts, baseline, t0,
             {"p": p, "q": q, "r": r,
              "start_band": start_band, "n_bands": n_bands},
-        ))
+            tol=RESOLUTION_MARGIN, two_sided=False))
 
     # pointwise multiplier-vs-maximal domination constant
     t0 = time.perf_counter()
@@ -727,8 +721,9 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
                                  real_output=(i % 2 == 0))
               for i in range(8)]
         consts.append(max(multiplier_maximal_ratio(f, fam, sampler) for f in fs))
-    reports.append(_drift_report("multiplier-bound", consts, baseline, t0,
-                                 {"n_functions": 8, "j_max": j_band}))
+    reports.append(_pair_report("multiplier-bound", consts, baseline, t0,
+                                {"n_functions": 8, "j_max": j_band},
+                                tol=RESOLUTION_MARGIN, two_sided=False))
     return reports
 
 

@@ -317,6 +317,32 @@ def test_flags_a_command_does_not_read_exit_2(capsys, tmp_path, argv):
     assert not (tmp_path / "base.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid-points", "16"],
+    ["--grid-points", "256", "--grid-length", "100"],
+    ["--grid-points", "8"],
+], ids=["16-points", "long-torus", "8-points"])
+def test_maximal_suite_rejects_grids_too_coarse_for_its_half_grid(capsys, argv):
+    code, _, err = run(["maximal-suite", "--baseline", "none", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "--grid-points" in err and "--grid-length" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--seed", "-100000"],
+    ["tlm-norm", "--seed", "-100"],
+    ["scalar-suite", "--seed", "-100"],
+    ["maximal-suite", "--seed", "-10000"],
+    ["interp-demo", "--seed", "-30"],
+], ids=["verify-all", "tlm-norm", "scalar-suite", "maximal-suite", "interp-demo"])
+def test_negative_seed_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

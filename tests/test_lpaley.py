@@ -35,7 +35,7 @@ def test_band_supports(family_plain, spec256):
 def test_corrupted_family_detected(spec256, family_plain):
     mults = list(family_plain.multipliers)
     mults[3] = mults[3] * 1.01
-    broken = LPFamily(spec256, family_plain.profile, 6, tuple(mults))
+    broken = LPFamily(spec256, family_plain.flavor, family_plain.sharpness, 6, tuple(mults))
     assert tk.partition_residual(broken) > 0.005
 
 
