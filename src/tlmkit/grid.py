@@ -93,6 +93,14 @@ class GridSpec:
             )
         if not (self.length > 0.0 and np.isfinite(self.length)):
             raise ParameterError(f"length must be positive, got {self.length}")
+        # frequency_radius squares frequencies up to the Nyquist pi*N/L
+        log2_nyquist = math.log2(math.pi * self.points) - math.log2(self.length)
+        if 2.0 * log2_nyquist + math.log2(self.dim) >= _MAX_EXP:
+            raise ParameterError(
+                f"length {self.length:g} is too short for {self.points} points in "
+                f"{self.dim}-D: the squared Nyquist frequency dim*(pi*N/L)^2 overflows "
+                "float64; raise --grid-length"
+            )
 
     @property
     def shape(self) -> tuple:

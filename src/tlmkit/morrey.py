@@ -15,7 +15,13 @@ monotone under refinement and always a lower bound for the full
 supremum.
 
 Cube windows use exact cumulative-sum box filters per axis (O(N^n) per
-radius).  Ball windows use circular FFT convolution against the 0/1
+radius): the summed-area table of Crow (1984), one axis at a time.  The
+prefix sum along the last (contiguous) axis is np.cumsum; along every
+other axis it is a loop of whole-slab adds c_k = c_{k-1} + a_k, because
+np.cumsum walks each column down a strided axis and runs many times
+slower there.  np.add.accumulate adds sequentially in that same order,
+and IEEE addition is commutative, so the loop has np.cumsum's bits.
+Ball windows use circular FFT convolution against the 0/1
 offset stencil of the window, which wraps correctly and costs
 O(N^n log N) per radius.
 
@@ -139,7 +145,16 @@ def _box_sum_axis(arr: np.ndarray, half_width: int, axis: int) -> np.ndarray:
     csum = np.empty(shape)
     csum[at(0, n)] = arr
     csum[at(n, None)] = arr[at(0, w - 1)]
-    np.cumsum(csum, axis=axis, out=csum)
+    if axis == arr.ndim - 1:
+        np.cumsum(csum, axis=axis, out=csum)
+    else:
+        # contiguous slab adds in np.cumsum's order give its bits without its
+        # strided column walk (see the module docstring)
+        rows = np.moveaxis(csum, axis, 0)
+        prev = rows[0]
+        for row in rows[1:]:
+            np.add(prev, row, out=row)
+            prev = row
     # the window from i to i+w-1 sums to c_{i+w-1} - c_{i-1} (c_{-1} = 0) and is
     # centred at i+m, so each difference goes straight to its rolled place
     out = np.empty(arr.shape)

@@ -166,22 +166,27 @@ def square_function(f: GridFunction, family: LPFamily, r: float, s: float) -> Gr
 
 
 def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
-                              s: float, cutoff: float) -> list:
-    """Gated tails [T_0 f, ..., T_{j_max} f] from one projection of f.
+                              s: float, cutoffs) -> list:
+    """Gated tails [T_0 f, ..., T_{j_max} f] for each size cutoff, from one
+    projection of f.
 
     T_J f is the aggregate over bands j >= J, gated by the indicator of
-    {cutoff <= S(f) <= 1/cutoff} evaluated on the full square function.
-    Each tail is a real, nonnegative array on f's grid.
+    {cutoff <= S(f) <= 1/cutoff} evaluated on the full square function
+    S(f) = T_0 f.  The aggregates are built once and only the gate depends
+    on the cutoff.  Returns one list of tails per cutoff, in order; each
+    tail is a real, nonnegative array on f's grid.
     """
     if not r > 1.0:
         raise ParameterError(f"need r > 1, got {r}")
-    if not 0.0 < cutoff <= 1.0:
-        raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")
+    for cutoff in cutoffs:
+        if not 0.0 < cutoff <= 1.0:
+            raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")
     weighted = _weighted_blocks(family, f, s)
-    full = _lr_aggregate(weighted, r)
-    gate = (full >= cutoff) & (full <= 1.0 / cutoff)
-    return [np.where(gate, _lr_aggregate(weighted[j:], r), 0.0)
-            for j in range(len(weighted))]
+    aggs = [_lr_aggregate(weighted[j:], r) for j in range(len(weighted))]
+    weighted = None  # only the aggregates outlive the blocks
+    full = aggs[0]
+    gates = [(full >= cutoff) & (full <= 1.0 / cutoff) for cutoff in cutoffs]
+    return [[np.where(gate, agg, 0.0) for agg in aggs] for gate in gates]
 
 
 def _tlm_norms(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
@@ -263,9 +268,9 @@ def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
     decided = True
     worst_first = 0.0
     worst_last = 0.0
-    for a in DIAMOND_CUTOFFS:
-        tails = truncated_square_function(f, family, params.r, params.s, a)
-        norms = _morrey_norms(tails, f.spec, params.pair, sampler)
+    tails = truncated_square_function(f, family, params.r, params.s, DIAMOND_CUTOFFS)
+    for a, cutoff_tails in zip(DIAMOND_CUTOFFS, tails):
+        norms = _morrey_norms(cutoff_tails, f.spec, params.pair, sampler)
         sequences[a] = norms
         first, last = norms[0], norms[-1]
         worst_first = max(worst_first, first)

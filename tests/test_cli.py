@@ -330,6 +330,20 @@ def test_maximal_suite_rejects_grids_too_coarse_for_its_half_grid(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["tlm-norm", "--grid-length", "1e-200"],
+    ["maximal-suite", "--grid-length", "1e-200", "--baseline", "none"],
+], ids=["tlm-norm", "maximal-suite"])
+def test_grid_length_whose_squared_nyquist_overflows_exits_2(capsys, argv):
+    # (pi*N/L)^2 is about 6.5e405 at N = 256, L = 1e-200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--grid-length" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["verify-all", "--seed", "-100000"],
     ["tlm-norm", "--seed", "-100"],
     ["scalar-suite", "--seed", "-100"],

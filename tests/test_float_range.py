@@ -66,7 +66,7 @@ def _entry_points(grid: str):
             lambda f, r=r, s=s: tk.square_function(f, family, r, s).values.real.max()
         yield f"truncated_square_function[s={s},r={r}]", \
             lambda f, r=r, s=s: max(tail.max() for tail in
-                                    tk.truncated_square_function(f, family, r, s, 0.1))
+                                    tk.truncated_square_function(f, family, r, s, (0.1,))[0])
 
 
 @settings(max_examples=300, deadline=None)

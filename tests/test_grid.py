@@ -29,6 +29,19 @@ def test_spec_validation():
         tk.GridSpec(1, 64, -1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_spec_refuses_lengths_whose_squared_nyquist_overflows(dim):
+    # the shortest length keeping dim*(pi*N/L)^2 in float64, and just inside it
+    points = 256
+    shortest = np.pi * points * np.sqrt(dim / np.finfo(np.float64).max)
+    with pytest.raises(ParameterError, match="--grid-length"):
+        tk.GridSpec(dim, points, shortest * (1.0 - 1e-9))
+    spec = tk.GridSpec(dim, points, shortest * (1.0 + 1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(spec.frequency_radius).all()
+
+
 def test_frequency_lattice_integers():
     spec = tk.GridSpec(1, 256)
     rad = spec.frequency_radius

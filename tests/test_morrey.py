@@ -143,16 +143,25 @@ def _reference_box_sum_axis(arr, half_width, axis):
 
 
 @pytest.mark.parametrize("dim,points", [(1, 64), (1, 256), (1, 4096), (2, 16), (2, 128),
-                                        (3, 8), (3, 32)])
+                                        (2, 256), (3, 8), (3, 32), (3, 64)])
 def test_cube_window_sum_matches_reference_box_filter(dim, points):
-    # bit for bit at every dyadic radius and at h/2 (half-width 0)
+    # bit for bit against np.cumsum's prefix sums, for one array and for a stack
+    # with batch axes (2, 3), on values spread over 18 decades; at every dyadic
+    # radius and at h/2 (half-width 0), or on the largest grids at a narrow and
+    # a wide radius short of the whole torus
     spec = tk.GridSpec(dim, points)
-    values = np.random.default_rng(dim * points).random(spec.shape) ** 3
-    for radius in tk.WindowSampler.dyadic(spec).radii + (spec.spacing / 2.0,):
-        want = values
-        for axis in range(dim):
-            want = _reference_box_sum_axis(want, _axis_half_width(spec, radius), axis)
-        assert np.array_equal(window_sum(spec, values, "cube", radius), want), radius
+    rng = np.random.default_rng(dim * points)
+    radii = tk.WindowSampler.dyadic(spec).radii
+    radii = (radii[0], radii[-2]) if spec.size >= 1 << 16 else radii + (spec.spacing / 2.0,)
+    for batch in ((), (2, 3)):
+        shape = batch + spec.shape
+        values = np.ldexp(rng.random(shape), rng.integers(-30, 31, shape))
+        for radius in radii:
+            want = values
+            for axis in range(len(batch), len(shape)):
+                want = _reference_box_sum_axis(want, _axis_half_width(spec, radius), axis)
+            assert np.array_equal(window_sum(spec, values, "cube", radius), want), \
+                (batch, radius)
 
 
 @pytest.mark.parametrize("shape", ["cube", "ball"])

@@ -6,7 +6,9 @@ import pytest
 import tlmkit as tk
 from conftest import scaled, spike_field
 from tlmkit.errors import BandCoverageError, ParameterError
-from tlmkit.spaces import _tlm_norms, _weighted_blocks, coverage_defect, ensure_band_covered
+from tlmkit.morrey import _lr_aggregate
+from tlmkit.spaces import (DIAMOND_CUTOFFS, _tlm_norms, _weighted_blocks, coverage_defect,
+                           ensure_band_covered)
 
 
 def test_params_validation():
@@ -52,7 +54,7 @@ def test_partial_square_monotone(family_sqrt, sampler256, f_band4):
 
 def test_truncated_gate_zeroes_out_of_range(spec256, family_plain, f_band4):
     full = tk.square_function(f_band4, family_plain, 2.0, 0.0).values.real
-    gated = tk.truncated_square_function(f_band4, family_plain, 2.0, 0.0, 0.5)[0]
+    gated = tk.truncated_square_function(f_band4, family_plain, 2.0, 0.0, (0.5,))[0][0]
     outside = (full < 0.5) | (full > 2.0)
     assert np.all(gated[outside] == 0.0)
     inside = ~outside
@@ -61,7 +63,7 @@ def test_truncated_gate_zeroes_out_of_range(spec256, family_plain, f_band4):
 
 def test_truncated_tails_match_direct_aggregate(family_plain, f_band4):
     r, s, a = 2.5, 0.3, 0.1
-    tails = tk.truncated_square_function(f_band4, family_plain, r, s, a)
+    tails = tk.truncated_square_function(f_band4, family_plain, r, s, (a,))[0]
     assert len(tails) == family_plain.j_max + 1
     weighted = [2.0 ** (j * s) * np.abs(b)
                 for j, b in enumerate(tk.project_all(family_plain, f_band4))]
@@ -73,7 +75,34 @@ def test_truncated_tails_match_direct_aggregate(family_plain, f_band4):
                                    rtol=1e-13, atol=1e-13 * full.max())
     for bad_r, bad_a in ((1.0, a), (r, 0.0), (r, 1.5)):
         with pytest.raises(ParameterError):
-            tk.truncated_square_function(f_band4, family_plain, bad_r, s, bad_a)
+            tk.truncated_square_function(f_band4, family_plain, bad_r, s, (bad_a,))
+
+
+def _one_cutoff_tails(f, family, r, s, cutoff):
+    """The gated tails of one cutoff as a call per cutoff built them: its own
+    weighted blocks, full aggregate and per-band aggregates."""
+    weighted = _weighted_blocks(family, f, s)
+    full = _lr_aggregate(weighted, r)
+    gate = (full >= cutoff) & (full <= 1.0 / cutoff)
+    return [np.where(gate, _lr_aggregate(weighted[j:], r), 0.0)
+            for j in range(len(weighted))]
+
+
+@pytest.mark.parametrize("r,s", [(2.5, 0.3), (np.inf, 0.0), (2.0, -0.5)])
+@pytest.mark.parametrize("field", ["band-4", "spike"])
+def test_truncated_tails_per_cutoff_match_one_cutoff_calls(spec64, r, s, field):
+    # every cutoff's tails share one projection and one set of aggregates and
+    # keep the bits of a call of their own; the spike takes the rescaled weights
+    f = spike_field(spec64) if field == "spike" else tk.random_bandlimited(spec64, 3, 2024)
+    family = tk.build_family(spec64, 4, "plain")
+    cutoffs = DIAMOND_CUTOFFS + (1.0, 0.5)
+    got = tk.truncated_square_function(f, family, r, s, cutoffs)
+    assert len(got) == len(cutoffs)
+    for cutoff, tails in zip(cutoffs, got):
+        want = _one_cutoff_tails(f, family, r, s, cutoff)
+        assert len(tails) == len(want) == family.j_max + 1
+        assert all(np.array_equal(t, w) for t, w in zip(tails, want)), cutoff
+    assert tk.truncated_square_function(f, family, r, s, ()) == []
 
 
 def test_tlm_norm_decomposition(spec256, family_plain, sampler256, f_band4):
