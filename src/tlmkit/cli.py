@@ -265,6 +265,12 @@ def cmd_diamond_check(args) -> int:
 
 
 def cmd_interp_demo(args) -> int:
+    if args.kind == "exponent-shift" and (args.r0, args.s0) != (args.r1, args.s1):
+        raise ParameterError(
+            f"--kind exponent-shift reads only the endpoint p's, so it needs equal r and s "
+            f"at both ends (got r {args.r0:g}, {args.r1:g} and s {args.s0:g}, {args.s1:g}): "
+            f"use --kind four-exponent"
+        )
     spec = _spec_from_args(args)
     setup = make_setup(args.theta,
                        SpaceParams(args.p0, args.q0, args.r0, args.s0),

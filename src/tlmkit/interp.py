@@ -18,7 +18,11 @@ and both reduce to f at z = theta.
       F(z) = sum_nu phi_nu(D) [ V_nu^(p((1-z)/p_0 + z/p_1) - 1) b_nu ],
 
   and requires the square-root multiplier flavor so that the partition of
-  the squares makes F(theta) = sum phi_nu(D) phi_nu(D) f = f exactly.
+  the squares makes F(theta) = sum phi_nu(D) phi_nu(D) f = f exactly.  It
+  reads only the endpoint p's: r_l and s_l enter only through the derived
+  r and s of V_nu.  With unequal endpoint r's or s's it is still a
+  holomorphic family through f, but its boundary values are not measured
+  against the endpoint r's and s's; the four-exponent family is.
 
 * kind "four-exponent" splits the modulation across four affine
   exponents rho_1..rho_4 (zero, zero, zero, one at theta):
@@ -48,16 +52,15 @@ real slope beta, and its integral over a segment [a, b] is
 
 one exponential and one expm1 per live point and band, then the same
 j_max + 2 transforms as one evaluation of F; G carries its spectrum.  A
-composite Gauss-Legendre rule (one weighted family_F pass per unit-length
-chunk; F is linear in the node weights) stays as the independent oracle
-that the contour-quadrature check compares with it, to QUAD_TOL.
+composite Gauss-Legendre rule, which sums w_k F(z_k) node by node on each
+unit-length chunk, stays as the independent oracle that the
+contour-quadrature check compares with it, to QUAD_TOL.
 The checks return numbers; the suites module turns them into verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,7 +94,6 @@ QUAD_NODES = 32  # Gauss-Legendre nodes per unit-length chunk of the oracle rule
 QUAD_TOL = 1e-9  # relative l2 gap allowed between an oracle rule and the closed form
 HOLOMORPHY_PROBES = 20  # random functionals of the Cauchy-Riemann probe
 HOLOMORPHY_STEP = 2e-4  # larger stencil step of its difference quotients (and half of it)
-_NODE_BLOCK_ELEMENTS = 1 << 18  # (nodes x live points) per block of exponentials
 
 
 @dataclass(frozen=True)
@@ -155,15 +157,6 @@ def rho(setup: InterpSetup, k: int, z: complex) -> complex:
     lo = _rho_endpoint(setup, k, 0)
     hi = _rho_endpoint(setup, k, 1)
     return (1.0 - z) * lo + z * hi
-
-
-@lru_cache(maxsize=16)
-def _gauss_legendre(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -264,46 +257,22 @@ def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
     return GridFunction(spec, values, spectrum=acc)
 
 
-def family_F(fam: AnalyticFamily, z, weights=None) -> GridFunction:
-    """The analytic family at z, or the weighted sum sum_k w_k F(z_k).
-
-    Without ``weights`` this is F(z), the batch of one node (it reduces to
-    the base at theta).  With ``weights``, z holds the nodes z_k.  F is
-    linear in the node weights, so each band sums w_k times its node
-    exponentials pointwise before its one FFT, and one inverse FFT closes
-    the pass: j_max + 2 transforms for the whole batch.  The exponentials
-    run in blocks of at most _NODE_BLOCK_ELEMENTS (nodes x live points).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if weights is None:
-        weights = np.ones(z.shape)
-    weights = np.asarray(weights, dtype=np.float64)
-    if z.ndim != 1 or weights.shape != z.shape:
-        raise ParameterError(
-            f"need one weight per node, got {weights.shape} weights for {z.shape} nodes"
-        )
-    exp_2, exp_norm, row_exps = _node_exponents(fam, z)
+def family_F(fam: AnalyticFamily, z: complex) -> GridFunction:
+    """The analytic family at z; it reduces to the base at theta."""
+    z = complex(z)
+    exp_2, exp_norm, row_exps = _node_exponents(fam, np.array([z]))
     if fam.base_norm > 0.0:
-        coef = weights * np.exp(exp_norm * np.log(fam.base_norm))
+        coef = np.exp(exp_norm * np.log(fam.base_norm))
     else:
-        coef = np.zeros(z.shape, dtype=np.complex128)  # 0^w = 0
+        coef = np.zeros(1, dtype=np.complex128)  # 0^w = 0
 
     def band_term(nu, band):
-        band_coef = coef * np.exp(exp_2 * nu * np.log(2.0))
-        step = max(1, _NODE_BLOCK_ELEMENTS // band.live.size)
-        summed = np.zeros(band.live.size, dtype=np.complex128)
-        for lo in range(0, z.size, step):
-            block = slice(lo, lo + step)
-            expo = np.multiply.outer(row_exps[0][block], band.logs[0])
-            for e, log in zip(row_exps[1:], band.logs[1:]):
-                expo += np.multiply.outer(e[block], log)
-            np.exp(expo, out=expo)
-            # not BLAS: a threaded matrix product is far slower at these sizes
-            summed += np.einsum("k,kn->n", band_coef[block], expo)
-        return band.carrier * summed
+        expo = row_exps[0] * band.logs[0]
+        for e, log in zip(row_exps[1:], band.logs[1:]):
+            expo += e * log
+        return band.carrier * (coef * np.exp(exp_2 * nu * np.log(2.0)) * np.exp(expo))
 
-    where = f"z={z[0]}" if z.size == 1 else f"{z.size} nodes z={z[0]}..{z[-1]}"
-    return _synthesize(fam, band_term, f"the family value at {where}")
+    return _synthesize(fam, band_term, f"the family value at z={z}")
 
 
 def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> GridFunction:
@@ -342,23 +311,21 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> Gri
     return _synthesize(fam, band_term, f"G on the segment [{z_from}, {z_to}]")
 
 
-def _segment_rule(fam: AnalyticFamily, z_from: complex, z_to: complex,
-                  n_nodes: int) -> GridFunction:
-    nodes, weights = _gauss_legendre(n_nodes)
-    points = z_from + (z_to - z_from) * (nodes + 1.0) / 2.0
-    return family_F(fam, points, weights) * ((z_to - z_from) / 2.0)
-
-
 def _segment_quadrature(fam: AnalyticFamily, z_from: complex, z_to: complex,
                         n_nodes: int) -> GridFunction:
     """The oracle for segment_integral: composite Gauss-Legendre, n_nodes
     per unit-length chunk (so the node count tracks the oscillation of the
-    integrand up the strip), each rule one weighted family_F pass."""
+    integrand up the strip), summing w_k F(z_k) node by node."""
     z_from, z_to = complex(z_from), complex(z_to)
+    rule = np.polynomial.legendre.leggauss(n_nodes)
     n_chunks = max(1, int(np.ceil(abs(z_to - z_from))))
     cuts = [z_from + (z_to - z_from) * k / n_chunks for k in range(n_chunks + 1)]
-    rules = [_segment_rule(fam, za, zb, n_nodes) for za, zb in zip(cuts[:-1], cuts[1:])]
-    return sum(rules[1:], rules[0])
+    acc = np.zeros(fam.base.spec.shape, dtype=np.complex128)
+    for za, zb in zip(cuts[:-1], cuts[1:]):
+        half = (zb - za) / 2.0
+        for x, w in zip(*rule):
+            acc += (w * half) * family_F(fam, za + half * (x + 1.0)).values
+    return GridFunction(fam.base.spec, acc)
 
 
 def family_G(fam: AnalyticFamily, z: complex) -> GridFunction:

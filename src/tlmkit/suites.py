@@ -655,6 +655,12 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
             f"the maximal suite needs its half grid's Nyquist pi*N/(2L) >= 8, got "
             f"{fine.nyquist / 2:g}: raise --grid-points N or lower --grid-length L"
         )
+    first = 2.0 * np.pi / cfg.length
+    if first > 2.0 * (1.0 + 1e-12):  # else the draws' bands 2^b, b >= 1, hold only constants
+        raise ParameterError(
+            f"the maximal suite needs the torus's first frequency 2*pi/L <= 2, got "
+            f"{first:g}: raise --grid-length L to at least pi"
+        )
     coarse = GridSpec(1, cfg.points // 2, cfg.length)
     sampler = WindowSampler.dyadic(coarse, cfg.window_shape)  # same windows on both grids
     max_band = int(np.log2(coarse.nyquist)) - 2

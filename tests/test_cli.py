@@ -343,6 +343,30 @@ def test_grid_length_whose_squared_nyquist_overflows_exits_2(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--grid-length", "1e-100"], 2),
+    (["--grid-length", "3"], 2),
+    ([], 0),
+], ids=["1e-100", "3", "default"])
+def test_maximal_suite_needs_its_lowest_band_on_the_torus(capsys, argv, code):
+    # its draws start at band 2^1, below the first frequency 2*pi/L once L < pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, _, err = run(["maximal-suite", *argv], capsys)
+    assert got == code
+    if code == 2:
+        assert err.startswith("error: ") and "--grid-length" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--r1", "4"], ["--s1", "1"]], ids=["r1", "s1"])
+def test_exponent_shift_with_unequal_r_or_s_exits_2(capsys, argv):
+    code, out, err = run(["interp-demo", "--kind", "exponent-shift", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--kind four-exponent" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-all", "--seed", "-100000"],
     ["tlm-norm", "--seed", "-100"],

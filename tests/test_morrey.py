@@ -8,6 +8,7 @@ from tlmkit.errors import ParameterError
 from tlmkit import morrey
 from tlmkit.grid import _rescale_exponent
 from tlmkit.morrey import _axis_half_width, _lr_aggregate, _morrey_norms, window_sum, window_volume
+from tlmkit.suites import ORACLE_TOL
 from conftest import brute_force_morrey
 
 
@@ -60,15 +61,19 @@ def test_collapse_to_lp(spec64):
             assert got == pytest.approx(tk.lp_norm(f, p), rel=1e-12)
 
 
-def test_indicator_oracle_value(spec256):
-    x = np.arange(spec256.points) * spec256.spacing
-    dist = np.minimum(x, spec256.length - x)
-    f = tk.GridFunction(spec256, (dist <= 1.0).astype(np.complex128))
+@pytest.mark.parametrize("dim, points, volume", [
+    (1, 256, 2.0), (2, 128, np.pi), (3, 32, 4.0 * np.pi / 3.0),
+], ids=["1d-256", "2d-128", "3d-32"])
+def test_indicator_oracle_value(dim, points, volume):
+    # the unit ball's indicator has Morrey norm |B|^(1/p - 1/q) * |B|^(1/q) = |B|^(1/4)
+    spec = tk.GridSpec(dim, points)
+    dist = sum(np.minimum(x, spec.length - x) ** 2 for x in spec.coordinates)
+    f = tk.GridFunction(spec, (np.sqrt(dist) <= 1.0).astype(np.complex128))
     pq = tk.LebesguePair(4.0, 2.0)
-    base = tk.WindowSampler.dyadic(spec256, "ball").radii
+    base = tk.WindowSampler.dyadic(spec, "ball").radii
     radii = tuple(sorted(set(base) | {0.5, 0.75, 1.0, 1.25, 1.5}))
     value = tk.morrey_norm(f, pq, tk.WindowSampler(radii, "ball"))
-    assert value == pytest.approx(2.0**0.25, rel=0.05)
+    assert value == pytest.approx(volume**0.25, rel=ORACLE_TOL)
 
 
 def test_refinement_monotone(spec256):
