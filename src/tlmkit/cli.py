@@ -34,10 +34,12 @@ from .suites import (
     growth_report,
     holomorphy_report,
     lipschitz_report,
+    oracle_radii,
     reconstruction_report,
     run_maximal_suite,
     run_scalar_empirical_suite,
     run_scalar_exact_suite,
+    unit_ball_indicator,
     verify_all,
 )
 
@@ -213,11 +215,9 @@ def cmd_morrey_norm(args) -> int:
         f = _load_input(args, spec)
     else:
         # demo input: indicator of the unit ball around the origin
-        dist = sum(np.minimum(x, spec.length - x) ** 2 for x in spec.coordinates)
-        f = GridFunction(spec, (np.sqrt(dist) <= 1.0).astype(np.complex128))
         if args.radii is None:
-            base = WindowSampler.dyadic(spec, args.windows).radii
-            args.radii = tuple(sorted(set(base) | {0.5, 0.75, 1.0, 1.25, 1.5}))
+            args.radii = oracle_radii(spec, "raise --grid-length to at least 3 or pass --radii")
+        f = unit_ball_indicator(spec)
     sampler = _sampler_from_args(args, spec)
     pq = LebesguePair(args.p, args.q)
     value = morrey_norm(f, pq, sampler)

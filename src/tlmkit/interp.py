@@ -30,10 +30,12 @@ and both reduce to f at z = theta.
       F(z) = sum_nu phi_nu(D) [ 2^(nu rho_1(z)) V_nu^rho_2(z)
                                  ||f||^rho_3(z) sgn(b_nu) |b_nu|^rho_4(z) ].
 
-  With equal endpoint r's and s's the four exponents collapse onto the
-  exponent-shift family (rho_1 = 0, rho_4 = 1 identically).  Either
-  multiplier flavor is accepted; with the plain flavor F(theta) differs
-  from f by a measurable defect that callers report rather than hide.
+  The pre-scaled base has norm 1 (or 0, and then every band and F vanish),
+  so the factor ||f||^rho_3(z) is 1 and is not computed.  With equal
+  endpoint r's and s's the four exponents collapse onto the exponent-shift
+  family (rho_1 = 0, rho_4 = 1 identically).  Either multiplier flavor is
+  accepted; with the plain flavor F(theta) differs from f by a measurable
+  defect that callers report rather than hide.
 
 Powers of vanishing bases follow one convention: 0^w = 0 for every w.
 Since |2^{nu s} b_nu| <= V_nu pointwise, a vanishing base always comes
@@ -219,7 +221,7 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
         base_norm = 0.0
     blocks = project_all(lp_family, base)
     mid = setup.mid
-    weighted = _weighted_blocks(lp_family, base, mid.s, blocks)
+    weighted = _weighted_blocks(lp_family, base, mid.s)
     aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
     bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
     return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),
@@ -227,14 +229,12 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
 
 
 def _node_exponents(fam: AnalyticFamily, z: np.ndarray) -> tuple:
-    """Exponents at the nodes z: of 2^nu, of ||f||, and one per band log row."""
+    """Exponents at the nodes z: of 2^nu, and one per band log row."""
     setup = fam.setup
     if fam.kind == "exponent-shift":
         e = setup.mid.p * ((1.0 - z) / setup.end0.p + z / setup.end1.p) - 1.0
-        zero = np.zeros_like(e)
-        return zero, zero, (e,)
-    return (rho(setup, 1, z), rho(setup, 3, z),
-            (rho(setup, 2, z), rho(setup, 4, z)))
+        return np.zeros_like(e), (e,)
+    return rho(setup, 1, z), (rho(setup, 2, z), rho(setup, 4, z))
 
 
 def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
@@ -260,17 +260,13 @@ def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
 def family_F(fam: AnalyticFamily, z: complex) -> GridFunction:
     """The analytic family at z; it reduces to the base at theta."""
     z = complex(z)
-    exp_2, exp_norm, row_exps = _node_exponents(fam, np.array([z]))
-    if fam.base_norm > 0.0:
-        coef = np.exp(exp_norm * np.log(fam.base_norm))
-    else:
-        coef = np.zeros(1, dtype=np.complex128)  # 0^w = 0
+    exp_2, row_exps = _node_exponents(fam, np.array([z]))
 
     def band_term(nu, band):
         expo = row_exps[0] * band.logs[0]
         for e, log in zip(row_exps[1:], band.logs[1:]):
             expo += e * log
-        return band.carrier * (coef * np.exp(exp_2 * nu * np.log(2.0)) * np.exp(expo))
+        return band.carrier * (np.exp(exp_2 * nu * np.log(2.0)) * np.exp(expo))
 
     return _synthesize(fam, band_term, f"the family value at z={z}")
 
@@ -287,16 +283,15 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> Gri
     the integrand does.  The result carries its spectrum.
     """
     z_from, z_to = complex(z_from), complex(z_to)
-    if z_to == z_from or fam.base_norm == 0.0:  # 0^w = 0
+    if z_to == z_from:
         zeros = np.zeros(fam.base.spec.shape, dtype=np.complex128)
         return GridFunction(fam.base.spec, zeros, spectrum=zeros)
     d = z_to - z_from
-    exp_2, exp_norm, row_exps = _node_exponents(fam, np.array([z_from, 0.0, 1.0]))
-    log_norm = np.log(fam.base_norm)
+    exp_2, row_exps = _node_exponents(fam, np.array([z_from, 0.0, 1.0]))
 
     def band_term(nu, band):
         def exponent(k):  # of the band's live points at z_from, 0 and 1
-            return (exp_norm[k] * log_norm + exp_2[k] * (nu * np.log(2.0))
+            return (exp_2[k] * (nu * np.log(2.0))
                     + sum(e[k] * log for e, log in zip(row_exps, band.logs)))
 
         expo = exponent(0)

@@ -90,9 +90,13 @@ def build_family(
     """Sample the dyadic family on the lattice; needs 2**(j_max+1) <= Nyquist."""
     if j_max < 1:
         raise ParameterError(f"j_max must be >= 1, got {j_max}")
-    if j_max > top_band(spec):
+    top = top_band(spec)
+    if j_max > top:
+        fix = (f"lower --jmax to at most {top} or raise --grid-points" if top >= 1
+               else "raise --grid-points or lower --grid-length")
         raise ParameterError(
-            f"2**(j_max+1) = {2**(j_max + 1)} exceeds grid Nyquist {spec.nyquist:g}"
+            f"--jmax {j_max} needs 2**(jmax+1) = {2**(j_max + 1)} <= the grid Nyquist "
+            f"{spec.nyquist:g}: {fix}"
         )
     if flavor not in FLAVORS:
         raise ParameterError(f"flavor must be one of {FLAVORS}, got {flavor!r}")

@@ -97,40 +97,26 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
         )
 
 
-def _weight_plan(family: LPFamily, f: GridFunction, peak: float, s: float) -> tuple:
-    """(direct, e): how the blocks of f, whose peak sample is ``peak``, take
-    the weights 2^{js}.
-
-    The transforms reach size times the peak sample and the weights
-    2^{j_max s}.  While both stay in float64 the blocks are weighted
-    directly (e = 0).  Otherwise the samples are scaled by an exact power
-    of two 2^-e (the blocks are linear in f) and each weight enters through
-    ldexp as 2^frac(js) 2^(floor(js) + e), so only a block that leaves
-    float64 raises.
-    """
-    top = family.j_max * max(s, 0.0)  # log2 of the largest weight
-    direct = top < _MAX_EXP and not _rescale_exponent(peak, 1.0, f.spec.size * 2.0**top)
-    return direct, 0 if direct else math.frexp(peak)[1]
-
-
-def _block_moduli(family: LPFamily, f: GridFunction, e: int, blocks=None) -> np.ndarray:
-    """|phi_j(D) (2^-e f)| for j = 0..j_max, once 2^-e f is band-covered.
-
-    ``blocks``, f's own block stack, stands in for the projection at e = 0.
-    """
+def _block_moduli(family: LPFamily, f: GridFunction) -> tuple:
+    """(moduli, e): |phi_j(D) (2^-e f)|, j = 0..j_max, once 2^-e f is
+    band-covered.  e = 0 while the transforms, up to size times f's peak
+    sample, stay in float64; else 2^-e is the exact power of two that keeps
+    them there (the blocks are linear in f), and _weigh adds 2^e back."""
+    e = _rescale_exponent(float(f.modulus().max()), 1.0, f.spec.size)
     if e:
         f = _ldexp(f, -e)
     ensure_band_covered(family, f)
-    if blocks is None or e:
-        blocks = project_all(family, f)
-    return np.abs(blocks)
+    return np.abs(project_all(family, f)), e
 
 
-def _weigh(moduli: np.ndarray, s: float, direct: bool, e: int) -> np.ndarray:
-    """The rows 2^{js} moduli[j] 2^e, as _weight_plan set them up."""
+def _weigh(moduli: np.ndarray, s: float, e: int) -> np.ndarray:
+    """The rows 2^{js} moduli[j] 2^e: multiplied directly while e = 0 and
+    the products stay in float64, else through ldexp as
+    2^frac(js) 2^(floor(js) + e), so only a row that leaves float64 raises."""
     n_bands = len(moduli)
     rows = (n_bands,) + (1,) * (moduli.ndim - 1)
-    if direct:
+    top = (n_bands - 1) * max(s, 0.0)  # log2 of the largest weight
+    if e == 0 and top < _MAX_EXP and not _rescale_exponent(float(moduli.max()), 1.0, 2.0**top):
         weights = np.array([2.0 ** (j * s) for j in range(n_bands)])
         return weights.reshape(rows) * moduli
     whole = [math.floor(j * s) for j in range(n_bands)]
@@ -148,15 +134,10 @@ def _weigh(moduli: np.ndarray, s: float, direct: bool, e: int) -> np.ndarray:
     return weighted
 
 
-def _weighted_blocks(family: LPFamily, f: GridFunction, s: float,
-                     blocks=None) -> np.ndarray:
-    """The stack of |2^{js} phi_j(D) f|, j = 0..j_max, once f is band-covered.
-
-    ``blocks``, f's own block stack when the caller has it, is reused
-    unless the weights need a rescaled projection.
-    """
-    direct, e = _weight_plan(family, f, float(f.modulus().max()), s)
-    return _weigh(_block_moduli(family, f, e, blocks), s, direct, e)
+def _weighted_blocks(family: LPFamily, f: GridFunction, s: float) -> np.ndarray:
+    """The stack of |2^{js} phi_j(D) f|, j = 0..j_max, once f is band-covered."""
+    moduli, e = _block_moduli(family, f)
+    return _weigh(moduli, s, e)
 
 
 def square_function(f: GridFunction, family: LPFamily, r: float, s: float) -> GridFunction:
@@ -193,10 +174,10 @@ def _tlm_norms(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -
     """tlm_norm of each function of ``fs`` in each space of ``params_seq``: a
     table with one row per function and one column per space.
 
-    A function's spaces whose weights need the same power-of-two rescale
-    share one coverage check and one projection.  Each space scans the low
-    and tail rows of the whole corpus in one _morrey_norms call.  On failure
-    it raises what the first failing function raises alone.
+    Each function has one coverage check and one projection, which all its
+    spaces weigh.  Each space scans the low and tail rows of the whole
+    corpus in one _morrey_norms call.  On failure it raises what the first
+    failing function raises alone.
     """
     try:
         if not fs:
@@ -206,13 +187,9 @@ def _tlm_norms(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -
         # per space, the low rows of every function, then their tail rows
         rows = [[None] * (2 * n) for _ in params_seq]
         for i, f in enumerate(fs):
-            peak = float(f.modulus().max())
-            moduli = {}  # rescale exponent e -> block moduli of 2^-e f
+            moduli, e = _block_moduli(family, f)
             for k, params in enumerate(params_seq):
-                direct, e = _weight_plan(family, f, peak, params.s)
-                if e not in moduli:
-                    moduli[e] = _block_moduli(family, f, e)
-                weighted = _weigh(moduli[e], params.s, direct, e)
+                weighted = _weigh(moduli, params.s, e)
                 rows[k][n + i] = _lr_aggregate(weighted[1:], params.r)  # j_max >= 1
                 # copied once the tail's temporaries are gone; a view would keep
                 # the weighted stack alive

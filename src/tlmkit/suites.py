@@ -93,6 +93,8 @@ __all__ = [
     "lipschitz_report",
     "growth_report",
     "summation_ratio",
+    "unit_ball_indicator",
+    "oracle_radii",
 ]
 
 REGRESSION_MARGIN = 1.1  # baseline regression gate: within 10%
@@ -110,6 +112,7 @@ PERSISTENCE_RATIO = 0.1  # a persistent tail keeps this share of its J = 0 norm
 PARTITION_TOL = 1e-12  # telescoping residual of the multiplier partition
 COLLAPSE_TOL = 1e-10  # p = q Morrey norm against the discrete L^p norm
 ORACLE_TOL = 0.05  # ball-window norm of the indicator against its closed form
+ORACLE_RADII = (0.5, 0.75, 1.0, 1.25, 1.5)  # ball radii around the indicator's edge
 MONOTONE_SLACK = 1e-14  # rounding room of its growth as radii are added
 N_SEQUENCES = 10000  # random sequences of the power-sum bound
 
@@ -277,12 +280,35 @@ def run_partition_suite(cfg: SuiteConfig) -> list:
 
 # -------------------------------------------------------------------- morrey
 
+def unit_ball_indicator(spec: GridSpec) -> GridFunction:
+    """The indicator of the unit ball around the origin; its (4, 2) Morrey
+    norm is |B|^(1/4)."""
+    dist = sum(np.minimum(x, spec.length - x) ** 2 for x in spec.coordinates)
+    return GridFunction(spec, (np.sqrt(dist) <= 1.0).astype(np.complex128))
+
+
+def oracle_radii(spec: GridSpec, remedy: str = "raise --grid-length to at least 3") -> tuple:
+    """The ball radii that resolve the indicator's norm: the dyadic ones and
+    ORACLE_RADII.  ParameterError, ending in ``remedy``, if the largest
+    radius exceeds L/2."""
+    top = ORACLE_RADII[-1]
+    if spec.length < 2.0 * top:
+        raise ParameterError(
+            f"the unit-ball oracle scans radii up to {top:g}, so it needs a torus side "
+            f"L >= {2.0 * top:g}, got L = {spec.length:g}: {remedy}"
+        )
+    radii = WindowSampler.dyadic(spec, "ball").radii
+    return tuple(sorted(set(radii) | set(ORACLE_RADII)))
+
+
 def run_morrey_suite(cfg: SuiteConfig) -> list:
     reports = []
+    spec1 = cfg.spec()
+    radii2 = oracle_radii(spec1)
+    indicator = unit_ball_indicator(spec1)
 
     # p = q collapse to the discrete L^p norm, cube windows
     t0 = time.perf_counter()
-    spec1 = cfg.spec()
     sampler1 = WindowSampler.dyadic(spec1, "cube")
     corpus = _corpus(cfg, spec1, max(cfg.n_functions - 10, 1), tag=1)
     spec2 = GridSpec(2, 64, cfg.length)
@@ -304,12 +330,8 @@ def run_morrey_suite(cfg: SuiteConfig) -> list:
 
     # ball-window norm of the unit-interval indicator against the closed form
     t0 = time.perf_counter()
-    x = np.arange(spec1.points) * spec1.spacing
-    dist = np.minimum(x, spec1.length - x)
-    indicator = GridFunction(spec1, (dist <= 1.0).astype(np.complex128))
     pq = LebesguePair(4.0, 2.0)
     base_radii = WindowSampler.dyadic(spec1, "ball").radii
-    radii2 = tuple(sorted(set(base_radii) | {0.5, 0.75, 1.0, 1.25, 1.5}))
     radii3 = tuple(sorted(set(radii2) | set(np.linspace(0.85, 1.15, 7))))
     values = [
         morrey_norm(indicator, pq, WindowSampler(r, "ball"))

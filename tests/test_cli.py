@@ -359,6 +359,37 @@ def test_maximal_suite_needs_its_lowest_band_on_the_torus(capsys, argv, code):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["verify-all", "--grid-length", "2.5"], ["--grid-length"]),
+    (["morrey-norm", "--grid-length", "2.5"], ["--grid-length", "--radii"]),
+], ids=["verify-all", "morrey-norm"])
+def test_unit_ball_oracle_needs_a_torus_of_side_3(capsys, argv, flags):
+    # its radii reach 1.5, beyond L/2 = 1.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv, capsys)
+    assert code == 2 and "L = 2.5" in err
+    assert err.startswith("error: ") and all(flag in err for flag in flags)
+    assert err.count("\n") == 1
+
+
+def test_morrey_norm_demo_keeps_given_radii_on_a_short_torus(capsys):
+    code, out, _ = run(["morrey-norm", "--grid-length", "2.5", "--radii", "0.5,1"], capsys)
+    assert code == 0 and out.startswith("morrey-norm p=4 q=2")
+
+
+@pytest.mark.parametrize("argv, top", [
+    (["verify-all", "--grid-points", "32"], 3),
+    (["calibrate", "--grid-points", "64"], 4),
+    (["tlm-norm", "--jmax", "7"], 6),
+], ids=["verify-all-32", "calibrate-64", "tlm-norm-jmax-7"])
+def test_band_count_above_the_grid_names_the_flags(capsys, tmp_path, argv, top):
+    code, out, err = run([*argv, "--out", str(tmp_path / "out.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"lower --jmax to at most {top} or raise --grid-points" in err
+
+
 @pytest.mark.parametrize("argv", [["--r1", "4"], ["--s1", "1"]], ids=["r1", "s1"])
 def test_exponent_shift_with_unequal_r_or_s_exits_2(capsys, argv):
     code, out, err = run(["interp-demo", "--kind", "exponent-shift", *argv], capsys)

@@ -63,8 +63,10 @@ def test_full_reconstruction_band_limited(spec256, f_band4):
 
 
 def test_build_family_validation(spec256):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="lower --jmax to at most 6"):
         tk.build_family(spec256, 7)  # 2^8 above Nyquist
+    with pytest.raises(ParameterError, match="raise --grid-points or lower --grid-length"):
+        tk.build_family(tk.GridSpec(1, 8, 100.0), 1)  # Nyquist 0.25: no band fits
     with pytest.raises(ParameterError):
         tk.build_family(spec256, 0)
     with pytest.raises(ParameterError):

@@ -8,7 +8,7 @@ from tlmkit.errors import ParameterError
 from tlmkit import morrey
 from tlmkit.grid import _rescale_exponent
 from tlmkit.morrey import _axis_half_width, _lr_aggregate, _morrey_norms, window_sum, window_volume
-from tlmkit.suites import ORACLE_TOL
+from tlmkit.suites import ORACLE_TOL, oracle_radii, unit_ball_indicator
 from conftest import brute_force_morrey
 
 
@@ -67,12 +67,9 @@ def test_collapse_to_lp(spec64):
 def test_indicator_oracle_value(dim, points, volume):
     # the unit ball's indicator has Morrey norm |B|^(1/p - 1/q) * |B|^(1/q) = |B|^(1/4)
     spec = tk.GridSpec(dim, points)
-    dist = sum(np.minimum(x, spec.length - x) ** 2 for x in spec.coordinates)
-    f = tk.GridFunction(spec, (np.sqrt(dist) <= 1.0).astype(np.complex128))
+    f = unit_ball_indicator(spec)
     pq = tk.LebesguePair(4.0, 2.0)
-    base = tk.WindowSampler.dyadic(spec, "ball").radii
-    radii = tuple(sorted(set(base) | {0.5, 0.75, 1.0, 1.25, 1.5}))
-    value = tk.morrey_norm(f, pq, tk.WindowSampler(radii, "ball"))
+    value = tk.morrey_norm(f, pq, tk.WindowSampler(oracle_radii(spec), "ball"))
     assert value == pytest.approx(volume**0.25, rel=ORACLE_TOL)
 
 

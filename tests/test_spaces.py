@@ -166,16 +166,16 @@ def test_weighted_blocks_overflow_raises(spec64, r):
 
 @pytest.mark.parametrize("field", ["band-1", "spike"])
 def test_batched_norms_match_single_calls(spec64, field):
-    # one batch mixes spaces with and without a power-of-two rescale: s = 400
+    # one batch mixes directly multiplied weights with the ldexp path: s = 400
     # weighs the empty bands of the band-1 field beyond float64, and the
-    # spike's transforms leave float64 at any s
+    # spike's transforms leave float64, so its blocks are rescaled at any s
     family = tk.build_family(spec64, 4, "plain")
     sampler = tk.WindowSampler.dyadic(spec64, "cube")
     if field == "spike":
         f = spike_field(spec64)
         spaces = [tk.SpaceParams(4.0, 2.0, r, s) for s in (0.0, -0.5) for r in (2.0, np.inf)]
     else:
-        f = 4.0 * tk.random_bandlimited(spec64, 1, 5)  # peak in [2, 4): rescale by 2^-2
+        f = 4.0 * tk.random_bandlimited(spec64, 1, 5)  # peak in [2, 4)
         spaces = [tk.SpaceParams(4.0, 2.0, 2.0, 0.5), tk.SpaceParams(6.0, 3.0, np.inf, 400.0),
                   tk.SpaceParams(4.0, 2.0, 3.0, -0.5), tk.SpaceParams(8.0, 2.0, 2.0, 400.0)]
     with warnings.catch_warnings():
@@ -183,6 +183,26 @@ def test_batched_norms_match_single_calls(spec64, field):
         got = _tlm_norms([f], family, spaces, sampler)
         want = [tk.tlm_norm(f, family, params, sampler) for params in spaces]
     assert got == [want]
+
+
+def test_one_projection_per_function_whatever_the_spaces_s(spec64, monkeypatch):
+    # s = 400 takes the ldexp path; with a peak outside [1/2, 1) a rescale
+    # chosen per space would differ from the s = 0 one and cost a projection
+    family = tk.build_family(spec64, 4, "plain")
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    f = 4.0 * tk.random_bandlimited(spec64, 1, 7)
+    assert not 0.5 <= float(f.modulus().max()) < 1.0
+    spaces = (tk.SpaceParams(4.0, 2.0, 2.0, 0.0), tk.SpaceParams(4.0, 2.0, 2.0, 400.0))
+    want = [[tk.tlm_norm(f, family, params, sampler) for params in spaces]]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tk.project_all(*args)
+
+    monkeypatch.setattr(tk.spaces, "project_all", counted)
+    assert _tlm_norms([f], family, spaces, sampler) == want
+    assert len(calls) == 1
 
 
 def test_batched_norms_raise_like_the_first_failing_space(spec64):

@@ -16,6 +16,17 @@ def test_morrey_suite_passes(small_cfg):
     assert all(r.verdict == "pass" for r in reports)
 
 
+def test_morrey_suite_refuses_a_short_torus_before_any_draw(monkeypatch):
+    # the unit-ball oracle's radii reach 1.5 > L/2
+    draws = []
+    monkeypatch.setattr(tk.suites, "random_bandlimited",
+                        lambda *args, **kwargs: draws.append(args))
+    cfg = tk.SuiteConfig(points=64, length=2.5, j_max=4, n_functions=6)
+    with pytest.raises(tk.ParameterError, match="--grid-length"):
+        tk.run_morrey_suite(cfg)
+    assert draws == []
+
+
 def test_scalar_exact_suite_small():
     cfg = tk.SuiteConfig(points=64, j_max=4, n_functions=4)
     reports = tk.run_scalar_exact_suite(cfg)
