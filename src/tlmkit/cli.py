@@ -132,7 +132,8 @@ def _band_count(args, spec: GridSpec) -> int:
     """--jmax, else the suites' default or the grid's top band if that is smaller."""
     if args.jmax is not None:
         return args.jmax
-    # below band 1 the grid is too coarse, and build_family's error names its Nyquist limit
+    # below band 1 the grid is too coarse; each command builds its family before
+    # it draws or reads a function, so build_family's error names the flags
     return min(SuiteConfig.j_max, max(1, top_band(spec)))
 
 
@@ -231,9 +232,9 @@ def cmd_morrey_norm(args) -> int:
 def cmd_tlm_norm(args) -> int:
     spec = _spec_from_args(args)
     j_max = _band_count(args, spec)
-    f = _input_or_demo(args, spec, j_max)
-    params = SpaceParams(args.p, args.q, args.r, args.s)
     family = build_family(spec, j_max, args.flavor)
+    params = SpaceParams(args.p, args.q, args.r, args.s)
+    f = _input_or_demo(args, spec, j_max)
     sampler = _sampler_from_args(args, spec)
     value = tlm_norm(f, family, params, sampler)
     print(f"tlm-norm p={args.p:g} q={args.q:g} r={args.r:g} s={args.s:g}: {value:.12g}")
@@ -276,8 +277,8 @@ def cmd_interp_demo(args) -> int:
                        SpaceParams(args.p0, args.q0, args.r0, args.s0),
                        SpaceParams(args.p1, args.q1, args.r1, args.s1))
     j_max = _band_count(args, spec)
-    f = _input_or_demo(args, spec, j_max)
     family = build_family(spec, j_max, "square_root")
+    f = _input_or_demo(args, spec, j_max)
     sampler = _sampler_from_args(args, spec)
     fam = build_analytic_family(args.kind, setup, f, family, sampler)
 

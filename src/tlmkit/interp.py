@@ -71,7 +71,7 @@ from .grid import GridFunction
 from .lpaley import LPFamily, project_all
 from .morrey import WindowSampler, _lr_aggregate
 from .report import safe_ratio
-from .spaces import SpaceParams, _tlm_norms, _weighted_blocks, tlm_norm
+from .spaces import SpaceParams, _block_moduli, _tlm_norms, _weigh, tlm_norm
 
 __all__ = [
     "FAMILY_KINDS",
@@ -221,7 +221,8 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
         base_norm = 0.0
     blocks = project_all(lp_family, base)
     mid = setup.mid
-    weighted = _weighted_blocks(lp_family, base, mid.s)
+    moduli, e = _block_moduli(lp_family, base, blocks)
+    weighted = _weigh(moduli, mid.s, e)
     aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
     bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
     return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),

@@ -23,14 +23,18 @@ slower there.  np.add.accumulate adds sequentially in that same order,
 and IEEE addition is commutative, so the loop has np.cumsum's bits.
 Ball windows use circular FFT convolution against the 0/1
 offset stencil of the window, which wraps correctly and costs
-O(N^n log N) per radius.
+O(N^n log N) per radius.  A scan over many radii (a Morrey norm, the
+maximal operator) transforms its values forward once and hands that
+spectrum to every radius, which then pays only the stencil product and
+the inverse transform.
 
 Window sums take stacks: leading axes are a batch, and the box filters
 and transforms run over the trailing grid axes only.  A scan of many
 same-grid arrays (the low and tail rows of a corpus, a run of tails)
 stacks them in blocks of at most _ROW_BLOCK_ELEMENTS samples and makes
 one window-sum call per radius per block; every row keeps its own
-power-of-two rescale and gets the same bits as a scan of it alone.
+power-of-two rescale and gets the same bits as a scan of it alone.  A
+row that is zero everywhere has norm 0 and is not scanned at all.
 
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
@@ -191,17 +195,33 @@ def window_volume(spec: GridSpec, window_shape: str, radius: float) -> float:
     return _UNIT_BALL_VOLUME[spec.dim] * radius**spec.dim
 
 
+def _grid_axes(spec: GridSpec, values: np.ndarray) -> tuple:
+    """The trailing axes of ``values`` that hold the grid; the rest are a batch."""
+    return tuple(range(values.ndim - spec.dim, values.ndim))
+
+
+def _window_spectrum(spec: GridSpec, values: np.ndarray, window_shape: str):
+    """What window_sum takes as ``spectrum``: the FFT of ``values`` over the
+    grid axes for ball windows, None for cube windows (which need none)."""
+    if window_shape != "ball":
+        return None
+    return np.fft.fftn(values, axes=_grid_axes(spec, values))
+
+
 def window_sum(spec: GridSpec, values: np.ndarray, window_shape: str,
-               radius: float) -> np.ndarray:
+               radius: float, *, spectrum=None) -> np.ndarray:
     """Sum of ``values`` over the window around every grid point.
 
     ``values`` is a real array of shape (*batch, *spec.shape); the result
     has the same shape, entry (b, x) holding sum_{y in W(x,R)} values[b, y]
     with torus wrap.  Each row of the batch gets the bits it would get alone.
+    A ball scan over many radii passes ``spectrum``, the FFT of ``values``
+    over the grid axes (_window_spectrum), so that the forward transform
+    runs once for all of them.
     """
     if window_shape not in WINDOW_SHAPES:
         raise ParameterError(f"unknown window shape {window_shape!r}")
-    grid_axes = tuple(range(values.ndim - spec.dim, values.ndim))
+    grid_axes = _grid_axes(spec, values)
     if window_shape == "cube":
         out = values
         m = _axis_half_width(spec, radius)
@@ -209,9 +229,10 @@ def window_sum(spec: GridSpec, values: np.ndarray, window_shape: str,
             out = _box_sum_axis(out, m, axis)
         return out
     stencil_hat, _ = _ball_stencil_data(spec.dim, spec.points, spec.length, radius)
-    vhat = np.fft.fftn(values, axes=grid_axes)
+    if spectrum is None:
+        spectrum = _window_spectrum(spec, values, window_shape)
     # stencil is symmetric under negation, so convolution == correlation
-    out = np.fft.ifftn(vhat * stencil_hat, axes=grid_axes).real
+    out = np.fft.ifftn(spectrum * stencil_hat, axes=grid_axes).real
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -246,27 +267,30 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
     order.
 
     Rows are stacked in blocks of at most _ROW_BLOCK_ELEMENTS samples and
-    scanned one window sum per radius per block.  A row whose q-th powers
-    would leave float64 is scaled by an exact power of two in its block,
-    and its norm is scaled back.
+    scanned one window sum per radius per block.  A row whose maximum is 0
+    gets the norm 0.0 and is not scanned.  A row whose q-th powers would
+    leave float64 is scaled by an exact power of two in its block, and its
+    norm is scaled back.
     """
     sampler.validate_against(spec)
-    # a ball window's FFT convolution passes through size^2 times the peak power
-    exps = [_rescale_exponent(float(row.max()), pq.q, float(row.size) ** 2)
-            for row in rows]
+    peaks = [float(row.max()) for row in rows]
+    live = [i for i, peak in enumerate(peaks) if peak != 0.0]
     per_block = max(1, _ROW_BLOCK_ELEMENTS // spec.size)
-    norms = []
-    for lo in range(0, len(rows), per_block):
-        block, block_exps = rows[lo:lo + per_block], exps[lo:lo + per_block]
+    norms = [0.0] * len(rows)
+    for lo in range(0, len(live), per_block):
+        block = live[lo:lo + per_block]
         if len(block) == 1:
-            stack = block[0][np.newaxis]  # a view, no copy
+            stack = rows[block[0]][np.newaxis]  # a view, no copy
         else:
-            stack = np.stack(block)
+            stack = np.stack([rows[i] for i in block])
+        # a ball window's FFT convolution passes through size^2 times the peak power
+        block_exps = [_rescale_exponent(peaks[i], pq.q, float(spec.size) ** 2)
+                      for i in block]
         if any(block_exps):
             shifts = -np.array(block_exps).reshape((-1,) + (1,) * spec.dim)
             stack = np.ldexp(stack, shifts)
-        for e, value in zip(block_exps, _scan_stack(stack, spec, pq, sampler)):
-            norms.append(float(_ldexp_back(value, e, "a Morrey norm")) if e else value)
+        for i, e, value in zip(block, block_exps, _scan_stack(stack, spec, pq, sampler)):
+            norms[i] = float(_ldexp_back(value, e, "a Morrey norm")) if e else value
     return norms
 
 
@@ -277,8 +301,9 @@ def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
     hn = spec.cell_volume
     vol_exp = 1.0 / pq.p - 1.0 / pq.q
     best = [0.0] * len(stack)
+    spectrum = _window_spectrum(spec, g, sampler.window_shape)
     for radius in sampler.radii:
-        sums = window_sum(spec, g, sampler.window_shape, radius)
+        sums = window_sum(spec, g, sampler.window_shape, radius, spectrum=spectrum)
         vol = window_volume(spec, sampler.window_shape, radius)
         peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
         # Python floats, so each row's value has the bits of a scan of it alone

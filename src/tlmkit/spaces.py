@@ -97,16 +97,20 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
         )
 
 
-def _block_moduli(family: LPFamily, f: GridFunction) -> tuple:
+def _block_moduli(family: LPFamily, f: GridFunction, blocks=None) -> tuple:
     """(moduli, e): |phi_j(D) (2^-e f)|, j = 0..j_max, once 2^-e f is
     band-covered.  e = 0 while the transforms, up to size times f's peak
     sample, stay in float64; else 2^-e is the exact power of two that keeps
-    them there (the blocks are linear in f), and _weigh adds 2^e back."""
+    them there (the blocks are linear in f), and _weigh adds 2^e back.
+    A caller that holds project_all(family, f) passes it as ``blocks``, and
+    it stands in for the projection while e = 0."""
     e = _rescale_exponent(float(f.modulus().max()), 1.0, f.spec.size)
     if e:
         f = _ldexp(f, -e)
     ensure_band_covered(family, f)
-    return np.abs(project_all(family, f)), e
+    if e or blocks is None:
+        blocks = project_all(family, f)
+    return np.abs(blocks), e
 
 
 def _weigh(moduli: np.ndarray, s: float, e: int) -> np.ndarray:
@@ -155,7 +159,8 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
     {cutoff <= S(f) <= 1/cutoff} evaluated on the full square function
     S(f) = T_0 f.  The aggregates are built once and only the gate depends
     on the cutoff.  Returns one list of tails per cutoff, in order; each
-    tail is a real, nonnegative array on f's grid.
+    tail is a real, nonnegative array on f's grid.  A cutoff whose gate
+    equals an earlier cutoff's gets that cutoff's list itself.
     """
     if not r > 1.0:
         raise ParameterError(f"need r > 1, got {r}")
@@ -167,7 +172,12 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
     weighted = None  # only the aggregates outlive the blocks
     full = aggs[0]
     gates = [(full >= cutoff) & (full <= 1.0 / cutoff) for cutoff in cutoffs]
-    return [[np.where(gate, agg, 0.0) for agg in aggs] for gate in gates]
+    tails = []
+    for k, gate in enumerate(gates):
+        shared = next((tails[i] for i in range(k) if np.array_equal(gates[i], gate)), None)
+        tails.append(shared if shared is not None
+                     else [np.where(gate, agg, 0.0) for agg in aggs])
+    return tails
 
 
 def _tlm_norms(fs: list, family: LPFamily, params_seq, sampler: WindowSampler) -> list:
@@ -238,7 +248,8 @@ def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
     0..j_max.  Verdict "pass" (consistent with membership) if for every
     cutoff the final norm has dropped below DIAMOND_REL_TOL times the
     initial one (or everything is zero); otherwise "not-decided": at this
-    resolution the tail persists.
+    resolution the tail persists.  Cutoffs whose gates are equal have equal
+    tails, so they share one scan and one norm sequence.
     """
     t0 = time.perf_counter()
     sequences = {}
@@ -246,8 +257,11 @@ def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
     worst_first = 0.0
     worst_last = 0.0
     tails = truncated_square_function(f, family, params.r, params.s, DIAMOND_CUTOFFS)
+    scans = {}  # by the identity of a tail list; cutoffs with equal gates share one
     for a, cutoff_tails in zip(DIAMOND_CUTOFFS, tails):
-        norms = _morrey_norms(cutoff_tails, f.spec, params.pair, sampler)
+        if id(cutoff_tails) not in scans:
+            scans[id(cutoff_tails)] = _morrey_norms(cutoff_tails, f.spec, params.pair, sampler)
+        norms = scans[id(cutoff_tails)]
         sequences[a] = norms
         first, last = norms[0], norms[-1]
         worst_first = max(worst_first, first)

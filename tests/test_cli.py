@@ -390,6 +390,15 @@ def test_band_count_above_the_grid_names_the_flags(capsys, tmp_path, argv, top):
     assert f"lower --jmax to at most {top} or raise --grid-points" in err
 
 
+@pytest.mark.parametrize("command", ["tlm-norm", "interp-demo", "diamond-check"])
+def test_grid_too_coarse_for_band_1_names_the_flags(capsys, command):
+    # the family is built before the demo draw, so its error names the flags
+    code, out, err = run([command, "--grid-points", "8", "--grid-length", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "raise --grid-points or lower --grid-length" in err
+
+
 @pytest.mark.parametrize("argv", [["--r1", "4"], ["--s1", "1"]], ids=["r1", "s1"])
 def test_exponent_shift_with_unequal_r_or_s_exits_2(capsys, argv):
     code, out, err = run(["interp-demo", "--kind", "exponent-shift", *argv], capsys)

@@ -17,6 +17,8 @@ from tlmkit.interp import (
     segment_integral,
     sum_space_proxy,
 )
+from tlmkit.morrey import _lr_aggregate
+from tlmkit.spaces import _weighted_blocks
 from tlmkit.suites import HOLDER_SETUPS, LIPSCHITZ_SPREAD, _setup, growth_report, lipschitz_report
 
 
@@ -75,6 +77,28 @@ def test_family_requires_squared_flavor(spec256, family_plain, sampler256):
     with pytest.raises(ParameterError):
         tk.build_analytic_family("exponent-shift", collapse_setup(), f,
                                  family_plain, sampler256)
+
+
+def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeypatch):
+    # the aggregates weigh the moduli of the blocks the family keeps, with the
+    # bits of a fresh weighted projection of the base
+    projected = []
+    project_all = interp.project_all
+
+    def counting_projection(family, f):
+        projected.append(f)
+        return project_all(family, f)
+
+    for module in (interp, tk.spaces):
+        monkeypatch.setattr(module, "project_all", counting_projection)
+    setup = general_setup()
+    f = tk.random_bandlimited(spec256, 4, 2024)
+    fam = tk.build_analytic_family("four-exponent", setup, f, family_sqrt, sampler256)
+    assert projected == [f, fam.base]  # the norm that scales f, then the base
+    weighted = _weighted_blocks(family_sqrt, fam.base, setup.mid.s)
+    assert len(fam.aggregates) == len(weighted)
+    for nu, agg in enumerate(fam.aggregates):
+        assert np.array_equal(agg, _lr_aggregate(weighted[:nu + 1], setup.mid.r)), nu
 
 
 def test_midpoint_identity(built_family):

@@ -169,12 +169,16 @@ def test_cube_window_sum_matches_reference_box_filter(dim, points):
 @pytest.mark.parametrize("shape", ["cube", "ball"])
 @pytest.mark.parametrize("dim,points", [(1, 256), (1, 4096), (2, 64), (3, 16)])
 def test_window_sum_of_a_stack_matches_rows(shape, dim, points):
-    # leading batch axes (2, 3): each row gets the bits of a call on it alone
+    # leading batch axes (2, 3): each row gets the bits of a call on it alone,
+    # and so does a ball scan handed the stack's spectrum, computed once
     spec = tk.GridSpec(dim, points)
     stack = np.random.default_rng(dim * points).random((2, 3) + spec.shape) ** 3
+    spectrum = morrey._window_spectrum(spec, stack, shape)
+    assert (spectrum is None) is (shape == "cube")
     for radius in tk.WindowSampler.dyadic(spec).radii + (spec.spacing / 2.0,):
         got = window_sum(spec, stack, shape, radius)
         assert got.shape == stack.shape
+        assert np.array_equal(window_sum(spec, stack, shape, radius, spectrum=spectrum), got)
         for b in np.ndindex(2, 3):
             assert np.array_equal(got[b], window_sum(spec, stack[b], shape, radius)), (b, radius)
 
@@ -201,11 +205,21 @@ def test_morrey_norms_match_single_scans(spec256, monkeypatch, shape, block_rows
     # blocks; half a row makes every row larger than one block
     if block_rows is not None:
         monkeypatch.setattr(morrey, "_ROW_BLOCK_ELEMENTS", int(block_rows * spec256.size))
+    scanned = []
+    scan_stack = morrey._scan_stack
+
+    def counting_scan(stack, *args):
+        scanned.append(len(stack))
+        return scan_stack(stack, *args)
+
+    monkeypatch.setattr(morrey, "_scan_stack", counting_scan)
     rng = np.random.default_rng(7)
-    # peaks 2^600 and 2^-600 need a power-of-two rescale at q = 3, the rest do not
+    # peaks 2^600 and 2^-600 need a power-of-two rescale at q = 3, the rest do
+    # not; zero rows sit at both ends, in a run and next to rescaled rows
     rows = [np.ldexp(rng.random(spec256.shape), k)
-            for k in (0, 600, 3, -600, -20, 0, 0, 10)]
-    rows[5][:] = 0.0
+            for k in (0, 0, 600, 3, -600, -20, 0, 0, 10, 0)]
+    for i in (0, 6, 7, 9):
+        rows[i][:] = 0.0
     # enough plain rows that numpy's array power would round some values
     # unlike the Python-float power of a scan of one row
     rows += [rng.random(spec256.shape) ** 3 for _ in range(56)]
@@ -214,6 +228,10 @@ def test_morrey_norms_match_single_scans(spec256, monkeypatch, shape, block_rows
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = _morrey_norms(rows, spec256, pq, sampler)
+    # a zero row comes back as exactly 0.0 without a scan
+    assert sum(scanned) == len(rows) - 4
+    assert [got[i] for i in (0, 6, 7, 9)] == [0.0] * 4
+    assert not any(np.signbit(got))
     want = [tk.morrey_norm(tk.GridFunction(spec256, row), pq, sampler) for row in rows]
     assert got == want
     assert got == [_reference_morrey_norm(row, spec256, pq, sampler) for row in rows]

@@ -6,7 +6,8 @@ import pytest
 import tlmkit as tk
 from conftest import scaled, spike_field
 from tlmkit.errors import BandCoverageError, ParameterError
-from tlmkit.morrey import _lr_aggregate
+from tlmkit import spaces
+from tlmkit.morrey import _lr_aggregate, _morrey_norms
 from tlmkit.spaces import (DIAMOND_CUTOFFS, _tlm_norms, _weighted_blocks, coverage_defect,
                            ensure_band_covered)
 
@@ -103,6 +104,34 @@ def test_truncated_tails_per_cutoff_match_one_cutoff_calls(spec64, r, s, field):
         assert len(tails) == len(want) == family.j_max + 1
         assert all(np.array_equal(t, w) for t, w in zip(tails, want)), cutoff
     assert tk.truncated_square_function(f, family, r, s, ()) == []
+
+
+@pytest.mark.parametrize("scale, shared", [(2.0, True), (1.0, False), (20.0, False)])
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+def test_diamond_criterion_scans_cutoffs_with_equal_gates_once(spec64, monkeypatch,
+                                                               scale, shared, shape):
+    # S(f) spans [0.190, 2.15] at scale 2, inside both gates; at scale 1 it dips
+    # below 0.1 and at scale 20 it passes 10, so there the gates differ
+    f = tk.random_bandlimited(spec64, 3, 2024) * scale
+    family = tk.build_family(spec64, 4, "plain")
+    params = tk.SpaceParams(4.0, 2.0, 2.5, 0.3)
+    sampler = tk.WindowSampler.dyadic(spec64, shape)
+    tails = tk.truncated_square_function(f, family, params.r, params.s, DIAMOND_CUTOFFS)
+    assert (tails[0] is tails[1]) is shared
+    want = {repr(a): _morrey_norms(_one_cutoff_tails(f, family, params.r, params.s, a),
+                                   spec64, params.pair, sampler)
+            for a in DIAMOND_CUTOFFS}
+    assert (want["0.1"] == want["0.01"]) is shared
+    scans = []
+
+    def counting_norms(rows, *args):
+        scans.append(rows)
+        return _morrey_norms(rows, *args)
+
+    monkeypatch.setattr(spaces, "_morrey_norms", counting_norms)
+    rep = tk.diamond_criterion(f, family, params, sampler)
+    assert rep.details["norm_sequences"] == want
+    assert len(scans) == (1 if shared else 2)
 
 
 def test_tlm_norm_decomposition(spec256, family_plain, sampler256, f_band4):
