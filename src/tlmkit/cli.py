@@ -132,9 +132,9 @@ def _band_count(args, spec: GridSpec) -> int:
     """--jmax, else the suites' default or the grid's top band if that is smaller."""
     if args.jmax is not None:
         return args.jmax
-    # below band 1 the grid is too coarse; each command builds its family before
-    # it draws or reads a function, so build_family's error names the flags
-    return min(SuiteConfig.j_max, max(1, top_band(spec)))
+    # each command builds its family before it draws or reads a function, so a
+    # grid with no band is refused by build_family, naming the grid flags
+    return min(SuiteConfig.j_max, top_band(spec))
 
 
 def _resolve_baseline(token: str):

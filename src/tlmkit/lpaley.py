@@ -77,7 +77,8 @@ class LPFamily:
 
 
 def top_band(spec: GridSpec) -> int:
-    """The largest j_max with 2**(j_max+1) <= Nyquist, the most build_family accepts."""
+    """The largest j_max with 2**(j_max+1) <= Nyquist, the most build_family
+    accepts; every band count and draw cap in the package derives from it."""
     return int(np.floor(np.log2(spec.nyquist * (1.0 + 1e-12)))) - 1
 
 
@@ -88,15 +89,16 @@ def build_family(
     sharpness: float = 1.0,
 ) -> LPFamily:
     """Sample the dyadic family on the lattice; needs 2**(j_max+1) <= Nyquist."""
+    top = top_band(spec)
+    if top < 1:
+        raise ParameterError(f"the grid admits no band: its Nyquist {spec.nyquist:g} is "
+                             "below 2**2 = 4: raise --grid-points or lower --grid-length")
     if j_max < 1:
         raise ParameterError(f"j_max must be >= 1, got {j_max}")
-    top = top_band(spec)
     if j_max > top:
-        fix = (f"lower --jmax to at most {top} or raise --grid-points" if top >= 1
-               else "raise --grid-points or lower --grid-length")
         raise ParameterError(
             f"--jmax {j_max} needs 2**(jmax+1) = {2**(j_max + 1)} <= the grid Nyquist "
-            f"{spec.nyquist:g}: {fix}"
+            f"{spec.nyquist:g}: lower --jmax to at most {top} or raise --grid-points"
         )
     if flavor not in FLAVORS:
         raise ParameterError(f"flavor must be one of {FLAVORS}, got {flavor!r}")

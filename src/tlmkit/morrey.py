@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, GridSpec, _ldexp_back, _rescale_exponent
+from .grid import GridFunction, GridSpec, _check_same_spec, _ldexp_back, _rescale_exponent
 
 __all__ = [
     "LebesguePair",
@@ -241,10 +241,9 @@ def _shared_spec(fs: list) -> GridSpec:
     """The grid of a nonempty list of functions that all live on it."""
     if not fs:
         raise ParameterError("need at least one function")
-    spec = fs[0].spec
-    if any(f.spec != spec for f in fs):
-        raise ParameterError("functions live on different grids")
-    return spec
+    for f in fs[1:]:
+        _check_same_spec(fs[0], f)
+    return fs[0].spec
 
 
 def _lr_aggregate(stack, r: float) -> np.ndarray:

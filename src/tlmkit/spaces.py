@@ -59,8 +59,7 @@ class SpaceParams:
     s: float
 
     def __post_init__(self) -> None:
-        if not (1.0 < self.q <= self.p < np.inf):
-            raise ParameterError(f"need 1 < q <= p < inf, got p={self.p}, q={self.q}")
+        LebesguePair(self.p, self.q)  # checks 1 < q <= p < inf
         if not self.r > 1.0:
             raise ParameterError(f"need r > 1 (r = inf allowed), got r={self.r}")
         if not np.isfinite(self.s):

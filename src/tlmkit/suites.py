@@ -43,7 +43,7 @@ from .interp import (
     make_setup,
     segment_integral,
 )
-from .lpaley import build_family, partition_residual, project
+from .lpaley import build_family, partition_residual, project, top_band
 from .maximal import (
     multiplier_maximal_ratio,
     projection_stability_check,
@@ -157,8 +157,9 @@ def _setup(entry):
 
 def _corpus(cfg: SuiteConfig, spec: GridSpec, count: int, tag: int,
             max_band: int = None) -> list:
-    """Seeded mixed corpus: cycling bands, real/complex, varied scales."""
-    top = int(np.log2(spec.nyquist)) - 2
+    """Seeded mixed corpus: cycling bands, real/complex, varied scales; the top
+    band stays inside the grid, covered by cfg.j_max's family, and <= max_band."""
+    top = min(top_band(spec) - 1, cfg.j_max + 1)
     if max_band is not None:
         top = min(top, max_band)
     bands = list(range(max(1, top - 3), top + 1))
@@ -170,11 +171,6 @@ def _corpus(cfg: SuiteConfig, spec: GridSpec, count: int, tag: int,
         )
         out.append(f * float(2.0 ** ((i % 11) - 5)))
     return out
-
-
-def _probe_band(spec: GridSpec) -> int:
-    """Widest probe band (capped at 4) that the grid can resolve."""
-    return min(4, int(np.log2(spec.nyquist)) - 2)
 
 
 def _fmt(x) -> str:
@@ -265,7 +261,7 @@ def run_partition_suite(cfg: SuiteConfig) -> list:
     grids = [(GridSpec(1, cfg.points, cfg.length), cfg.j_max)]
     points2 = max(cfg.points // 2, 16)
     spec2 = GridSpec(2, points2, cfg.length)
-    grids.append((spec2, min(cfg.j_max, int(np.log2(spec2.nyquist)) - 1)))
+    grids.append((spec2, min(cfg.j_max, top_band(spec2))))
     for spec, j_max in grids:
         for flavor in ("plain", "square_root"):
             t0 = time.perf_counter()
@@ -574,10 +570,12 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     squared = build_family(spec, cfg.j_max, "square_root")
     sampler = cfg.sampler()
     setup = _setup(HOLDER_SETUPS[0])  # equal endpoint r and s
+    # G of a band-b draw lives below 1.5 * 2^b, so b <= j_max keeps it covered
+    probe_band = min(4, cfg.j_max, top_band(spec) - 1)
 
     # the closed-form G against its Gauss-Legendre oracle on a long segment
     t0 = time.perf_counter()
-    probe = random_bandlimited(spec, _probe_band(spec), cfg.seed + 41)
+    probe = random_bandlimited(spec, probe_band, cfg.seed + 41)
     fam = build_analytic_family("exponent-shift", setup, probe, squared, sampler)
     exact = segment_integral(fam, setup.theta, 1 + 0.75j).values.ravel()
     scale = max(float(np.linalg.norm(exact)), 1e-300)
@@ -592,7 +590,7 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     fams = [
         build_analytic_family(
             "exponent-shift", setup,
-            random_bandlimited(spec, _probe_band(spec), cfg.seed + 50 + i,
+            random_bandlimited(spec, probe_band, cfg.seed + 50 + i,
                                real_output=(i % 2 == 0)),
             squared, sampler)
         for i in range(5)
@@ -621,7 +619,7 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     ))
 
     # holomorphy probe and the four-exponent collapse identity
-    f = random_bandlimited(spec, _probe_band(spec), cfg.seed + 60)
+    f = random_bandlimited(spec, probe_band, cfg.seed + 60)
     fam = build_analytic_family("exponent-shift", setup, f, squared, sampler)
     reports.append(holomorphy_report(fam, cfg.seed + 61))
 
@@ -640,12 +638,12 @@ def run_interp_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     t_values = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
     pairs = [(0.0, t) for t in t_values]
     corpus = [build_analytic_family("exponent-shift", setup, f, squared, sampler)
-              for f in _corpus(cfg, spec, 20, tag=4, max_band=4)]
+              for f in _corpus(cfg, spec, 20, tag=4, max_band=probe_band)]
     reports += [lipschitz_report(corpus, side, pairs, sampler, baseline)
                 for side in (0, 1)]
 
     # growth of the primitive across the strip, sum-space proxy
-    f = random_bandlimited(spec, _probe_band(spec), cfg.seed + 70)
+    f = random_bandlimited(spec, probe_band, cfg.seed + 70)
     fam = build_analytic_family("exponent-shift", setup, f, squared, sampler)
     zs = [setup.theta + 1j * t for t in (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0)]
     zs += [0.0 + 4j, 1.0 + 4j, 0.0 - 1j, 1.0 + 0.5j]
@@ -672,7 +670,8 @@ _MAXIMAL_COMBOS = ((4.0, 2.0, 2.0), (6.0, 3.0, 3.0), (4.0, 2.0, np.inf))
 def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     reports = []
     fine = GridSpec(1, cfg.points, cfg.length)
-    if fine.nyquist / 2 < 8.0:  # the half grid's draws below need max_band >= 1
+    top = top_band(fine) - 1  # the half grid's top band, known before it is built
+    if top < 2:  # the half grid's draws below need max_band >= 1
         raise ParameterError(
             f"the maximal suite needs its half grid's Nyquist pi*N/(2L) >= 8, got "
             f"{fine.nyquist / 2:g}: raise --grid-points N or lower --grid-length L"
@@ -685,7 +684,7 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
         )
     coarse = GridSpec(1, cfg.points // 2, cfg.length)
     sampler = WindowSampler.dyadic(coarse, cfg.window_shape)  # same windows on both grids
-    max_band = int(np.log2(coarse.nyquist)) - 2
+    max_band = top - 1
 
     n_tuples, tuple_size = 5, 6
     tuples_coarse = []
@@ -709,7 +708,7 @@ def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
              "coarse_points": coarse.points, "fine_points": fine.points},
             tol=RESOLUTION_MARGIN, two_sided=False))
 
-    j_band = min(5, int(np.log2(coarse.nyquist)) - 1)
+    j_band = min(5, top)
     fams = (build_family(coarse, j_band, "plain"), build_family(fine, j_band, "plain"))
     start_band = 2
     n_bands = j_band - start_band + 1

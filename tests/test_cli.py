@@ -397,6 +397,22 @@ def test_grid_too_coarse_for_band_1_names_the_flags(capsys, command):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "raise --grid-points or lower --grid-length" in err
+    assert "--jmax" not in err
+
+
+@pytest.mark.parametrize("jmax", ["1", "3"])
+def test_verify_all_with_few_bands_exits_0(capsys, jmax):
+    # every corpus draw and probe stays inside the family's j_max bands
+    code, out, err = run(["verify-all", "--jmax", jmax, "--baseline", "none"], capsys)
+    assert code == 0 and err == ""
+    assert "0 failed" in out
+
+
+def test_calibrate_with_few_bands_exits_0(capsys, tmp_path):
+    code, out, err = run(["calibrate", "--jmax", "3", "--out", str(tmp_path / "b3.json")],
+                         capsys)
+    assert code == 0 and err == ""
+    assert "calibrated" in out
 
 
 @pytest.mark.parametrize("argv", [["--r1", "4"], ["--s1", "1"]], ids=["r1", "s1"])

@@ -8,6 +8,9 @@ from tlmkit.errors import ParameterError
 from tlmkit import morrey
 from tlmkit.grid import _rescale_exponent
 from tlmkit.morrey import _axis_half_width, _lr_aggregate, _morrey_norms, window_sum, window_volume
+from tlmkit.lpaley import top_band
+from tlmkit.maximal import vector_maximal_check
+from tlmkit.spaces import _tlm_norms
 from tlmkit.suites import ORACLE_TOL, oracle_radii, unit_ball_indicator
 from conftest import brute_force_morrey
 
@@ -43,7 +46,7 @@ def test_dyadic_radii(spec64):
 def test_brute_force_oracle(shape, dim, points):
     spec = tk.GridSpec(dim, points)
     # widest band with headroom on the grid (2**(K+1) < nyquist), at most 2
-    band = min(2, int(np.log2(spec.nyquist)) - 2)
+    band = min(2, top_band(spec) - 1)
     f = tk.random_bandlimited(spec, band, 42 + dim, real_output=False)
     pq = tk.LebesguePair(3.5, 2.0)
     sampler = tk.WindowSampler.dyadic(spec, shape)
@@ -236,3 +239,15 @@ def test_morrey_norms_match_single_scans(spec256, monkeypatch, shape, block_rows
     assert got == want
     assert got == [_reference_morrey_norm(row, spec256, pq, sampler) for row in rows]
     assert _morrey_norms([], spec256, pq, sampler) == []
+
+
+def test_functions_on_different_grids_raise_grid_mismatch(spec64, spec256):
+    f64 = tk.random_bandlimited(spec64, 2, 0)
+    f256 = tk.random_bandlimited(spec256, 2, 1)
+    family = tk.build_family(spec64, 4)
+    params = tk.SpaceParams(4.0, 2.0, 2.0, 0.5)
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    with pytest.raises(tk.GridMismatchError, match="grid mismatch"):
+        _tlm_norms([f64, f256], family, (params,), sampler)
+    with pytest.raises(tk.GridMismatchError, match="grid mismatch"):
+        vector_maximal_check([f64, f256], 2.0, params.pair, sampler)

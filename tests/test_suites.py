@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tlmkit as tk
+from tlmkit.spaces import coverage_defect
 
 
 def test_partition_suite_passes(small_cfg):
@@ -74,3 +75,26 @@ def test_diamond_suite_distinguishes(small_cfg):
     assert reports["diamond-bandlimited"].verdict == "pass"
     assert reports["diamond-persistent"].verdict == "pass"
     assert reports["diamond-persistent"].details["criterion_verdict"] == "not-decided"
+
+
+@pytest.mark.parametrize("j_max", range(1, 7))
+def test_every_draw_is_covered_by_the_family(monkeypatch, j_max):
+    # corpus draws reach j_max + 1 and probes j_max: both inside the family
+    cfg = tk.SuiteConfig(j_max=j_max)
+    spec = cfg.spec()
+    draws = []
+
+    def record(*args, **kwargs):
+        f = tk.random_bandlimited(*args, **kwargs)
+        draws.append(f)
+        return f
+
+    monkeypatch.setattr(tk.suites, "random_bandlimited", record)
+    tk.run_morrey_suite(cfg)
+    tk.run_holder_suite(cfg)
+    tk.run_interp_suite(cfg, None)
+    tk.run_diamond_suite(cfg, None)
+    family = tk.build_family(spec, j_max)
+    on_grid = [f for f in draws if f.spec == spec]
+    assert len(on_grid) > 100
+    assert all(coverage_defect(family, f) == 0.0 for f in on_grid)
