@@ -1,13 +1,14 @@
 """Analytic families for complex interpolation between two smoothness spaces.
 
 Given endpoint parameter tuples (p_l, q_l, r_l, s_l), l = 0, 1, with
-p_0 > p_1, finite r_l, and a shared Morrey ratio p_0/q_0 = p_1/q_1, the
-interpolated tuple at theta in (0,1) is defined by harmonic interpolation
-of p, q, r and linear interpolation of s.
+p_0 > p_1, 1 < r_l <= inf, and a shared Morrey ratio p_0/q_0 = p_1/q_1,
+the interpolated tuple at theta in (0,1) is defined by harmonic
+interpolation of p, q, r (1/r = 0 when both r_l are infinite) and linear
+interpolation of s.
 
 Two holomorphic families F(z) through a fixed base function f (pre-scaled
 to norm 1) are provided.  Both are built from the dyadic blocks
-b_nu = phi_nu(D) f and their running aggregates
+b_nu = phi_nu(D) f and their running l^r sums
 
     V_nu = ( sum_{j<=nu} |2^{js} b_j|^r )^(1/r)        (derived r, s),
 
@@ -40,15 +41,17 @@ and both reduce to f at z = theta.
 Powers of vanishing bases follow one convention: 0^w = 0 for every w.
 Since |2^{nu s} b_nu| <= V_nu pointwise, a vanishing base always comes
 with a vanishing cofactor, so the convention never changes a value; it
-only keeps intermediates finite.  The family caches log V_nu (and, for
-four-exponent, log|b_nu| and sgn b_nu) where both bases are nonzero, so
-an evaluation is exponentials, j_max + 1 FFTs and one inverse FFT.
+only keeps intermediates finite.  Every exponent is affine in z, so where
+both bases are nonzero the family stores, per band, a carrier (b_nu, or
+sgn b_nu for four-exponent) and the band's exponent as its value at z = 0
+and its real slope in z; an evaluation is one exponential per live point,
+j_max + 1 FFTs and one inverse FFT.
 
 G(z) = integral of F from theta to z (the primitive of Calderon's second
 complex method, which the paper reaches through Bergh's formula) is
-computed in closed form.  Every exponent is affine in z, so on each live
-point of band nu the integrand is carrier * exp(E + (z - a) beta) with
-real slope beta, and its integral over a segment [a, b] is
+computed in closed form.  On each live point of band nu the integrand is
+carrier * exp(E + (z - a) beta), with E the exponent at a and beta the
+stored slope, and its integral over a segment [a, b] is
 
     carrier * exp(E) * (b - a) * exprel((b - a) beta),   exprel(w) = expm1(w)/w,
 
@@ -117,9 +120,6 @@ def make_setup(theta: float, end0: SpaceParams, end1: SpaceParams) -> InterpSetu
     """Validate endpoint compatibility and derive the middle tuple."""
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    for label, end in (("first", end0), ("second", end1)):
-        if np.isinf(end.r):
-            raise ParameterError(f"{label} endpoint needs finite r, got inf")
     if not end0.p > end1.p:
         raise ParameterError(
             f"first endpoint p must exceed second, got {end0.p} <= {end1.p}"
@@ -131,7 +131,8 @@ def make_setup(theta: float, end0: SpaceParams, end1: SpaceParams) -> InterpSetu
         )
     p = 1.0 / ((1.0 - theta) / end0.p + theta / end1.p)
     q = 1.0 / ((1.0 - theta) / end0.q + theta / end1.q)
-    r = 1.0 / ((1.0 - theta) / end0.r + theta / end1.r)
+    inv_r = (1.0 - theta) / end0.r + theta / end1.r
+    r = 1.0 / inv_r if inv_r > 0.0 else np.inf
     s = (1.0 - theta) * end0.s + theta * end1.s
     mid = SpaceParams(p, q, r, s)
     p_gap = p / end1.p - p / end0.p
@@ -143,14 +144,16 @@ def make_setup(theta: float, end0: SpaceParams, end1: SpaceParams) -> InterpSetu
 def _rho_endpoint(setup: InterpSetup, k: int, l: int) -> float:
     end = setup.endpoints[l]
     mid = setup.mid
+    # r/r_l, in the limit 1 when r = r_l = inf (r is finite unless both r_l are)
+    r_ratio = 1.0 if np.isinf(mid.r) else mid.r / end.r
     if k == 1:
-        return mid.s * mid.r / end.r - end.s
+        return mid.s * r_ratio - end.s
     if k == 2:
-        return mid.p / end.p - mid.r / end.r
+        return mid.p / end.p - r_ratio
     if k == 3:
         return 1.0 - mid.p / end.p
     if k == 4:
-        return mid.r / end.r
+        return r_ratio
     raise ParameterError(f"exponent index must be 1..4, got {k}")
 
 
@@ -167,41 +170,49 @@ class _Band:
 
     live: flat indices where both b_nu and V_nu are nonzero; elsewhere the
     band's term is zero under the 0^w = 0 convention.  carrier: b_nu there
-    (exponent-shift) or sgn b_nu (four-exponent).  logs: the rows log V_nu
-    (both kinds) and log|b_nu| (four-exponent) there.
+    (exponent-shift) or sgn b_nu (four-exponent).  The band's term there is
+    carrier * exp(at0 + z slope): at0 is its exponent at z = 0 and slope
+    the real rate of change in z.
     """
 
     live: np.ndarray
     carrier: np.ndarray
-    logs: np.ndarray
+    at0: np.ndarray
+    slope: np.ndarray
 
 
 @dataclass(frozen=True)
 class AnalyticFamily:
-    """Cached band logs and aggregates of the base function for one setup."""
+    """Cached band exponents of the base function for one setup."""
 
     kind: str
     setup: InterpSetup
     lp_family: LPFamily
     base: GridFunction
-    aggregates: tuple  # real arrays V_nu
     bands: tuple  # one _Band per block phi_nu(D) base
     base_norm: float  # norm of the stored base (1 after pre-scaling)
 
 
-def _band(kind: str, block: np.ndarray, aggregate: np.ndarray) -> _Band:
+def _band(kind: str, setup: InterpSetup, nu: int, block: np.ndarray,
+          aggregate: np.ndarray) -> _Band:
     b, v = block.ravel(), aggregate.ravel()
     mod = np.abs(b)
     live = np.flatnonzero((v > 0.0) & (mod > 0.0))
     log_v = np.log(v[live])
-    if kind == "exponent-shift":
-        return _Band(live, b[live], log_v[np.newaxis])
-    return _Band(live, b[live] / mod[live], np.stack([log_v, np.log(mod[live])]))
+    if kind == "exponent-shift":  # (p((1-z)/p_0 + z/p_1) - 1) log V_nu
+        at0 = (setup.mid.p / setup.end0.p - 1.0) * log_v
+        return _Band(live, b[live], at0, setup.p_gap * log_v)
+    log_b = np.log(mod[live])
+    at0, at1 = (rho(setup, 1, z) * (nu * np.log(2.0))
+                + (rho(setup, 2, z) * log_v + rho(setup, 4, z) * log_b)
+                for z in (0.0, 1.0))
+    return _Band(live, b[live] / mod[live], at0, at1 - at0)
 
 
 def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
                           lp_family: LPFamily, sampler: WindowSampler) -> AnalyticFamily:
-    """Project f onto the bands and cache the running aggregates.
+    """Project f onto the bands and cache each band's affine exponent,
+    built from the running l^r sums V_nu.
 
     The base function is pre-scaled to unit middle norm (the construction
     assumes it).
@@ -223,34 +234,24 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
     mid = setup.mid
     moduli, e = _block_moduli(lp_family, base, blocks)
     weighted = _weigh(moduli, mid.s, e)
-    aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
-    bands = tuple(_band(kind, b, v) for b, v in zip(blocks, aggregates))
-    return AnalyticFamily(kind, setup, lp_family, base, tuple(aggregates),
-                          bands, base_norm)
-
-
-def _node_exponents(fam: AnalyticFamily, z: np.ndarray) -> tuple:
-    """Exponents at the nodes z: of 2^nu, and one per band log row."""
-    setup = fam.setup
-    if fam.kind == "exponent-shift":
-        e = setup.mid.p * ((1.0 - z) / setup.end0.p + z / setup.end1.p) - 1.0
-        return np.zeros_like(e), (e,)
-    return rho(setup, 1, z), (rho(setup, 2, z), rho(setup, 4, z))
+    bands = tuple(_band(kind, setup, nu, b, _lr_aggregate(weighted[:nu + 1], mid.r))
+                  for nu, b in enumerate(blocks))
+    return AnalyticFamily(kind, setup, lp_family, base, bands, base_norm)
 
 
 def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
-    """sum_nu phi_nu(D) t_nu, where band_term(nu, band) gives t_nu on the
+    """sum_nu phi_nu(D) t_nu, where band_term(band) gives t_nu on the
     band's live points (zero elsewhere): one FFT per band with live points
     and one inverse FFT.  Raises ParameterError naming ``what`` if the
     result leaves float64."""
     spec = fam.base.spec
     acc = np.zeros(spec.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for nu, (band, mult) in enumerate(zip(fam.bands, fam.lp_family.multipliers)):
+        for band, mult in zip(fam.bands, fam.lp_family.multipliers):
             if band.live.size == 0:
                 continue
             term = np.zeros(spec.size, dtype=np.complex128)
-            term[band.live] = band_term(nu, band)
+            term[band.live] = band_term(band)
             acc += mult * np.fft.fftn(term.reshape(spec.shape), norm="ortho")
         values = np.fft.ifftn(acc, norm="ortho")
     if not np.all(np.isfinite(values)):
@@ -261,13 +262,9 @@ def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
 def family_F(fam: AnalyticFamily, z: complex) -> GridFunction:
     """The analytic family at z; it reduces to the base at theta."""
     z = complex(z)
-    exp_2, row_exps = _node_exponents(fam, np.array([z]))
 
-    def band_term(nu, band):
-        expo = row_exps[0] * band.logs[0]
-        for e, log in zip(row_exps[1:], band.logs[1:]):
-            expo += e * log
-        return band.carrier * (np.exp(exp_2 * nu * np.log(2.0)) * np.exp(expo))
+    def band_term(band):
+        return band.carrier * np.exp(band.at0 + z * band.slope)
 
     return _synthesize(fam, band_term, f"the family value at z={z}")
 
@@ -276,8 +273,8 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> Gri
     """integral of F along the straight segment from z_from to z_to, exactly.
 
     On a live point of band nu the integrand is carrier * exp(E + t beta),
-    t = z - z_from, with E the exponent at z_from and beta its real slope
-    in z, so the integral is carrier * exp(E) * d * exprel(d beta) with
+    t = z - z_from, with E = at0 + z_from slope the exponent at z_from and
+    beta = slope, so the integral is carrier * exp(E) * d * exprel(d beta) with
     d = z_to - z_from.  Each point is anchored at the end where its
     exponent has the larger real part (there exprel's argument has real
     part <= 0 and |exprel| <= 1), so no intermediate leaves float64 unless
@@ -288,15 +285,10 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> Gri
         zeros = np.zeros(fam.base.spec.shape, dtype=np.complex128)
         return GridFunction(fam.base.spec, zeros, spectrum=zeros)
     d = z_to - z_from
-    exp_2, row_exps = _node_exponents(fam, np.array([z_from, 0.0, 1.0]))
 
-    def band_term(nu, band):
-        def exponent(k):  # of the band's live points at z_from, 0 and 1
-            return (exp_2[k] * (nu * np.log(2.0))
-                    + sum(e[k] * log for e, log in zip(row_exps, band.logs)))
-
-        expo = exponent(0)
-        w = d * (exponent(2) - exponent(1)).real  # d * beta, beta real
+    def band_term(band):
+        expo = band.at0 + z_from * band.slope
+        w = d * band.slope
         rising = w.real > 0.0
         expo = np.where(rising, expo + w, expo)
         w = np.where(rising, -w, w)

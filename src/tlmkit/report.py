@@ -56,10 +56,6 @@ class VerificationReport:
             if v is None or not np.isfinite(v):
                 raise ParameterError(f"report field {name} must be finite, got {v}")
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -82,15 +78,18 @@ def write_json(path, payload: dict) -> None:
     Non-finite floats are written as "inf", "-inf" or "nan".
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the caller's path, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandCoverageError, ParameterError
-from .grid import _MAX_EXP, GridFunction, GridSpec, _ldexp, _rescale_exponent
+from .grid import _MAX_EXP, _MIN_EXP, GridFunction, GridSpec, _ldexp, _rescale_exponent
 from .lpaley import LPFamily, project_all, reconstruct
 from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norms, _shared_spec
 from .report import VerificationReport, safe_ratio
@@ -302,6 +302,10 @@ def persistent_block_function(spec: GridSpec, family: LPFamily,
         if math.log2(half_peak) - j * s >= _MAX_EXP:
             raise ParameterError(
                 f"band {j} amplitude sqrt(N)/2 * 2^(-js) overflows float64 at s={s:g}"
+            )
+        if -j * s < _MIN_EXP:  # a subnormal 2^(-js) loses the band's bits
+            raise ParameterError(
+                f"band {j} amplitude 2^(-js) is below float64's normal range at s={s:g}"
             )
         amp = half_peak * 2.0 ** (-j * s)
         idx_pos = (k,) + (0,) * (spec.dim - 1)

@@ -258,7 +258,7 @@ def _range_report(check_id: str, ratios, baseline, t0: float,
 def run_partition_suite(cfg: SuiteConfig) -> list:
     """Telescoping residuals for both flavors on 1-d and 2-d grids."""
     reports = []
-    grids = [(GridSpec(1, cfg.points, cfg.length), cfg.j_max)]
+    grids = [(cfg.spec(), cfg.j_max)]
     points2 = max(cfg.points // 2, 16)
     spec2 = GridSpec(2, points2, cfg.length)
     grids.append((spec2, min(cfg.j_max, top_band(spec2))))
@@ -669,7 +669,7 @@ _MAXIMAL_COMBOS = ((4.0, 2.0, 2.0), (6.0, 3.0, 3.0), (4.0, 2.0, np.inf))
 
 def run_maximal_suite(cfg: SuiteConfig, baseline: BaselineStore = None) -> list:
     reports = []
-    fine = GridSpec(1, cfg.points, cfg.length)
+    fine = cfg.spec()
     top = top_band(fine) - 1  # the half grid's top band, known before it is built
     if top < 2:  # the half grid's draws below need max_band >= 1
         raise ParameterError(

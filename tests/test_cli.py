@@ -61,6 +61,16 @@ def test_missing_input_is_io_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "a-directory"])
+def test_out_errors_name_the_given_path(capsys, tmp_path, target):
+    out = tmp_path / target
+    code, _, err = run(["tlm-norm", "--out", str(out)] + SMALL, capsys)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(out)) in err and ".tmp" not in err
+    assert not list(tmp_path.glob("*.tmp"))  # no temp file left behind
+
+
 def test_binary_and_csv_input_agree(capsys, tmp_path):
     spec = GridSpec(1, 64, 2.0 * np.pi)
     f = random_bandlimited(spec, 3, seed=99)
@@ -285,6 +295,18 @@ def test_overflowing_weights_exit_2(capsys, argv):
     code, _, err = run(argv + SMALL, capsys)
     assert code == 2
     assert err.startswith("error: ") and "overflows float64" in err
+    assert err.count("\n") == 1
+
+
+def test_persistent_profile_below_float64_normal_range_exits_2(capsys):
+    # band 6's amplitude 2^(-6s) is subnormal from s = 1022/6 on and 0 at s = 180,
+    # which made the profile's tail vanish and the verdict read pass
+    argv = ["diamond-check", "--profile", "persistent", "--expect", "not-decided"]
+    code, out, _ = run(argv + ["-s", "170"], capsys)
+    assert code == 0 and "[not-decided]" in out
+    code, _, err = run(argv + ["-s", "180"], capsys)
+    assert code == 2
+    assert err.startswith("error: band 6 ") and "normal range" in err
     assert err.count("\n") == 1
 
 

@@ -19,7 +19,8 @@ from tlmkit.interp import (
 )
 from tlmkit.morrey import _lr_aggregate
 from tlmkit.spaces import _weighted_blocks
-from tlmkit.suites import HOLDER_SETUPS, LIPSCHITZ_SPREAD, _setup, growth_report, lipschitz_report
+from tlmkit.suites import (HOLDER_SETUPS, HOLDER_SLACK, LIPSCHITZ_SPREAD, _setup, growth_report,
+                           lipschitz_report)
 
 
 def collapse_setup():
@@ -28,6 +29,15 @@ def collapse_setup():
 
 def general_setup():
     return tk.make_setup(0.4, tk.SpaceParams(8, 4, 2.5, 0.5), tk.SpaceParams(4, 2, 2, 0.0))
+
+
+INF_R_SETUPS = [  # endpoint pairs with an infinite r: (theta, end0, end1)
+    (0.5, (8, 4, np.inf, 0.0), (4, 2, np.inf, 0.0)),
+    (0.5, (8, 4, np.inf, 0.0), (4, 2, np.inf, 1.0)),
+    (0.5, (8, 4, 2, 0.0), (4, 2, np.inf, 1.0)),
+    (0.5, (8, 4, np.inf, -0.5), (4, 2, 3, 1.0)),
+]
+INF_R_IDS = ["inf-inf", "inf-inf-s", "2-inf", "inf-3"]
 
 
 def test_make_setup_midpoint_values():
@@ -46,9 +56,12 @@ def test_make_setup_validation():
         tk.make_setup(0.5, tk.SpaceParams(4, 2, 2, 0.0), e0)
     with pytest.raises(ParameterError):  # mismatched p/q ratios
         tk.make_setup(0.5, e0, tk.SpaceParams(4, 3, 2, 0.0))
-    with pytest.raises(ParameterError):  # infinite endpoint r
-        tk.make_setup(0.5, tk.SpaceParams(8, 4, np.inf, 0.0),
-                      tk.SpaceParams(4, 2, 2, 0.0))
+    # infinite endpoint r: 1/r = (1-theta)/r_0 + theta/r_1, and r = inf when it is 0
+    one_inf = tk.make_setup(0.5, tk.SpaceParams(8, 4, np.inf, 0.0), tk.SpaceParams(4, 2, 2, 0.0))
+    assert one_inf.mid.r == 4.0
+    both_inf = tk.make_setup(0.5, tk.SpaceParams(8, 4, np.inf, 0.0),
+                             tk.SpaceParams(4, 2, np.inf, 0.0))
+    assert both_inf.mid.r == np.inf
 
 
 def test_rho_values_at_theta():
@@ -80,8 +93,8 @@ def test_family_requires_squared_flavor(spec256, family_plain, sampler256):
 
 
 def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeypatch):
-    # the aggregates weigh the moduli of the blocks the family keeps, with the
-    # bits of a fresh weighted projection of the base
+    # the band exponents read the aggregates of the moduli of the blocks the
+    # family keeps, with the bits of a fresh weighted projection of the base
     projected = []
     project_all = interp.project_all
 
@@ -96,9 +109,18 @@ def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeyp
     fam = tk.build_analytic_family("four-exponent", setup, f, family_sqrt, sampler256)
     assert projected == [f, fam.base]  # the norm that scales f, then the base
     weighted = _weighted_blocks(family_sqrt, fam.base, setup.mid.s)
-    assert len(fam.aggregates) == len(weighted)
-    for nu, agg in enumerate(fam.aggregates):
-        assert np.array_equal(agg, _lr_aggregate(weighted[:nu + 1], setup.mid.r)), nu
+    blocks = tk.project_all(family_sqrt, fam.base)
+    assert len(fam.bands) == len(weighted)
+    for nu, (band, block) in enumerate(zip(fam.bands, blocks)):
+        v = _lr_aggregate(weighted[:nu + 1], setup.mid.r).ravel()
+        b = block.ravel()
+        live = np.flatnonzero((v > 0.0) & (b != 0.0))
+        assert np.array_equal(band.live, live), nu
+        log_v, log_b = np.log(v[live]), np.log(np.abs(b[live]))
+        at0, at1 = (rho(setup, 1, z) * (nu * np.log(2.0))
+                    + (rho(setup, 2, z) * log_v + rho(setup, 4, z) * log_b)
+                    for z in (0.0, 1.0))
+        assert np.array_equal(band.at0, at0) and np.array_equal(band.slope, at1 - at0), nu
 
 
 def test_midpoint_identity(built_family):
@@ -155,7 +177,8 @@ def test_closed_form_matches_quadrature_oracle(kind, grid):
 
 def test_family_values_beyond_float64_raise(built_family):
     # log V_nu scaled by 1e3 puts exp(e(0) log V_nu) far beyond float64 where V_nu < 1
-    bands = tuple(dataclasses.replace(b, logs=b.logs * 1e3) for b in built_family.bands)
+    bands = tuple(dataclasses.replace(b, at0=b.at0 * 1e3, slope=b.slope * 1e3)
+                  for b in built_family.bands)
     fam = dataclasses.replace(built_family, bands=bands)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -166,14 +189,39 @@ def test_family_values_beyond_float64_raise(built_family):
 
 
 def test_collapse_between_kinds(spec256, family_sqrt, sampler256):
+    # equal endpoint r and s (r = inf included: r/r_l = 1 in the limit) make
+    # rho_1 = 0 and rho_4 = 1, so the four-exponent family is the exponent-shift one
     f = tk.random_bandlimited(spec256, 4, 271, real_output=False)
-    setup = collapse_setup()
-    fam_a = tk.build_analytic_family("exponent-shift", setup, f, family_sqrt, sampler256)
-    fam_b = tk.build_analytic_family("four-exponent", setup, f, family_sqrt, sampler256)
-    for z in (0.15, 0.7 + 1.3j):
-        a = family_F(fam_a, z).values
-        b = family_F(fam_b, z).values
-        assert np.max(np.abs(a - b)) < 1e-12 * np.abs(a).max()
+    for setup in (collapse_setup(), _setup(INF_R_SETUPS[0])):
+        for z in (0.0, 0.3 + 2j, 1.0):
+            assert rho(setup, 1, z) == 0.0 and rho(setup, 4, z) == pytest.approx(1.0, abs=1e-15)
+        fam_a = tk.build_analytic_family("exponent-shift", setup, f, family_sqrt, sampler256)
+        fam_b = tk.build_analytic_family("four-exponent", setup, f, family_sqrt, sampler256)
+        for z in (0.15, 0.7 + 1.3j):
+            a = family_F(fam_a, z).values
+            b = family_F(fam_b, z).values
+            assert np.max(np.abs(a - b)) < 1e-12 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("entry", INF_R_SETUPS, ids=INF_R_IDS)
+def test_infinite_r_reconstruction(spec256, family_sqrt, sampler256, entry):
+    setup = _setup(entry)
+    f = tk.random_bandlimited(spec256, 4, 808, real_output=False)
+    for kind in ("exponent-shift", "four-exponent"):
+        fam = tk.build_analytic_family(kind, setup, f, family_sqrt, sampler256)
+        base = fam.base.values
+        err = np.linalg.norm(family_F(fam, setup.theta).values - base)
+        assert err <= 1e-12 * np.linalg.norm(base), kind
+
+
+@pytest.mark.parametrize("entry", INF_R_SETUPS, ids=INF_R_IDS)
+def test_infinite_r_holder_inequality(spec256, family_plain, sampler256, entry):
+    corpus = [tk.random_bandlimited(spec256, 1 + i % 5, 900 + i, real_output=(i % 2 == 0))
+              for i in range(12)]
+    for theta in (0.25, 0.5, 0.75):
+        setup = _setup((theta, *entry[1:]))
+        worst = tk.holder_interpolation_check(setup, corpus, family_plain, sampler256)
+        assert 0.0 < worst <= 1.0 + HOLDER_SLACK, theta
 
 
 def zero_band_function(spec):

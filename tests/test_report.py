@@ -27,7 +27,7 @@ def test_report_validation():
     with pytest.raises(ParameterError):
         make_report(lhs=np.nan)
     rep = make_report()
-    assert rep.passed
+    assert rep.verdict == "pass"
     d = rep.to_dict()
     assert d["check"] == "demo" and d["verdict"] == "pass"
 

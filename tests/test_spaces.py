@@ -36,19 +36,24 @@ def test_square_function_matches_blocks(spec256, family_plain, f_band4):
 
 def test_partial_square_monotone(family_sqrt, sampler256, f_band4):
     # the analytic family's running aggregates V_nu are the partial square
-    # functions over bands 0..nu of its base, so they grow with nu up to S
+    # functions over bands 0..nu of its base, so they grow with nu up to S;
+    # the exponent-shift slope of band nu is p_gap log V_nu on its live points
     setup = tk.make_setup(0.5, tk.SpaceParams(8.0, 4.0, 2.5, 0.3),
                           tk.SpaceParams(4.0, 2.0, 2.5, 0.3))
-    fam = tk.build_analytic_family("four-exponent", setup, f_band4, family_sqrt,
+    fam = tk.build_analytic_family("exponent-shift", setup, f_band4, family_sqrt,
                                    sampler256)
     mid = setup.mid
-    for lo, hi in zip(fam.aggregates, fam.aggregates[1:]):
+    weighted = _weighted_blocks(family_sqrt, fam.base, mid.s)
+    aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
+    for agg, band in zip(aggregates, fam.bands):
+        assert np.array_equal(band.slope, setup.p_gap * np.log(agg.ravel()[band.live]))
+    for lo, hi in zip(aggregates, aggregates[1:]):
         assert np.all(hi >= lo - 1e-13)
     full = tk.square_function(fam.base, family_sqrt, mid.r, mid.s).values.real
-    assert np.array_equal(fam.aggregates[-1], full)  # the same l^r aggregate
+    assert np.array_equal(aggregates[-1], full)  # the same l^r aggregate
     # reference: the running sum over bands, one band at a time
     running = np.zeros(full.shape)
-    for agg, block in zip(fam.aggregates, _weighted_blocks(family_sqrt, fam.base, mid.s)):
+    for agg, block in zip(aggregates, weighted):
         running = running + block**mid.r
         assert np.array_equal(agg, running ** (1.0 / mid.r))
 
@@ -305,6 +310,10 @@ def test_persistent_profile_blocks(spec256, family_plain):
     for j, b in enumerate(blocks):
         peak = float((2.0 ** (j * s)) * np.abs(b).max())
         assert peak == pytest.approx(1.0, rel=1e-10), f"band {j} peak {peak}"
+    # band 6's amplitude 2^(-6s) leaves float64's normal range above s = 1022/6
+    tk.persistent_block_function(spec256, family_plain, s=170.0)
+    with pytest.raises(ParameterError, match="band 6 .* normal range at s=171"):
+        tk.persistent_block_function(spec256, family_plain, s=171.0)
 
 
 def test_diamond_criterion_distinguishes(spec256, family_plain, sampler256):
