@@ -2,12 +2,15 @@
 
 Exit codes: 0 all requested checks passed (or a plain computation
 succeeded), 1 at least one check failed, 2 usage or parameter errors,
-3 I/O problems (unreadable input, refused overwrite, bad baseline file).
+3 I/O problems (unreadable input, refused overwrite, bad baseline file,
+an --out whose directory is missing or which is a directory: refused
+before any work).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -180,6 +183,19 @@ def _print_reports(reports) -> int:
     print(f"-- {len(reports)} checks: {len(reports) - n_failed - n_open} passed, "
           f"{n_failed} failed, {n_open} not decided")
     return n_failed
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out that write_json could not write:
+    the same OSError, naming the given path, that the write would raise."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _finish(args, reports, meta: dict) -> int:
@@ -375,6 +391,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:  # every command takes --out
+            _check_out(args.out)
         return args.func(args)
     except (ParameterError, BandCoverageError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

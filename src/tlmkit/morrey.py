@@ -36,6 +36,22 @@ one window-sum call per radius per block; every row keeps its own
 power-of-two rescale and gets the same bits as a scan of it alone.  A
 row that is zero everywhere has norm 0 and is not scanned at all.
 
+A scan prunes radii by branch and bound (Land and Doig, 1960).  With
+g = |f|^q, no window of radius R holds more than min(sum g, count(R) max g),
+so before any window sum each row's value at R is bounded by
+
+    ub = vol(R)^(1/p - 1/q) ((min(sum g, count(R) max g) + pad) h^n)^(1/q) (1 + 1e-9),
+
+pad = 8 size eps sum g.  The pad lies above any rounding of the prefix-sum
+window sums (at most about 4 N eps sum g per axis) and of the FFT window
+sums of nonnegative g; the factor 1 + 1e-9 covers the rounding of the
+bound's own powers and products.  Radii are scanned in decreasing order of
+the block's largest bound, and a radius is skipped only when every row's
+bound is at most that row's best value so far.  The norm is an exact max
+of floats, which does not depend on order, and a skipped radius could not
+have raised it, so every norm keeps the bits of the unpruned scan.  A ball
+scan takes its forward transform only once some radius is scanned.
+
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
 L^p norm up to pure summation rounding.
@@ -295,19 +311,47 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
 
 def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
                 sampler: WindowSampler) -> list:
-    """Morrey norm of each row of ``stack``, whose q-th powers stay in float64."""
+    """Morrey norm of each row of ``stack``, whose q-th powers stay in float64.
+
+    Branch and bound over the radii (see the module docstring): a row's
+    value at R is at most value(vol(R), min(sum g, count(R) max g) + pad)
+    times 1 + 1e-9, with pad = 8 size eps sum g above the rounding of
+    either kind of window sum.  Radii run from the block's largest bound
+    down, and one is skipped when every row's bound is at most that row's
+    best value so far.  A skipped value could not have raised the max, and
+    a max of floats does not depend on order, so each row keeps the bits
+    of the unpruned scan.
+    """
     g = stack**pq.q
     hn = spec.cell_volume
     vol_exp = 1.0 / pq.p - 1.0 / pq.q
-    best = [0.0] * len(stack)
-    spectrum = _window_spectrum(spec, g, sampler.window_shape)
-    for radius in sampler.radii:
-        sums = window_sum(spec, g, sampler.window_shape, radius, spectrum=spectrum)
-        vol = window_volume(spec, sampler.window_shape, radius)
-        peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
+
+    def value(vol, peak):
         # Python floats, so each row's value has the bits of a scan of it alone
-        best = [max(b, vol**vol_exp * (peak * hn) ** (1.0 / pq.q))
-                for b, peak in zip(best, peaks)]
+        return vol**vol_exp * (peak * hn) ** (1.0 / pq.q)
+
+    flat = g.reshape(len(stack), -1)
+    totals = flat.sum(axis=1).tolist()
+    tops = flat.max(axis=1).tolist()
+    pad = 8.0 * spec.size * np.finfo(np.float64).eps
+    plan = []
+    for radius in sampler.radii:
+        count = window_count(spec, sampler.window_shape, radius)
+        vol = window_volume(spec, sampler.window_shape, radius)
+        bounds = [value(vol, min(t, count * m) + pad * t) * (1.0 + 1e-9)
+                  for t, m in zip(totals, tops)]
+        plan.append((max(bounds), radius, vol, bounds))
+    plan.sort(key=lambda item: item[0], reverse=True)
+    best = [0.0] * len(stack)
+    spectrum = None
+    for _, radius, vol, bounds in plan:
+        if all(u <= b for u, b in zip(bounds, best)):
+            continue
+        if spectrum is None:  # the ball FFT, taken only once a radius is scanned
+            spectrum = _window_spectrum(spec, g, sampler.window_shape)
+        sums = window_sum(spec, g, sampler.window_shape, radius, spectrum=spectrum)
+        peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
+        best = [max(b, value(vol, peak)) for b, peak in zip(best, peaks)]
     return best
 
 

@@ -71,6 +71,23 @@ def test_out_errors_name_the_given_path(capsys, tmp_path, target):
     assert not list(tmp_path.glob("*.tmp"))  # no temp file left behind
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-all"], ["calibrate", "--force"], ["maximal-suite"], ["scalar-suite"],
+    ["tlm-norm"] + SMALL, ["morrey-norm"], ["diamond-check"] + SMALL, ["interp-demo"] + SMALL,
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing-dir/x.json", ".", "a-file/x.json"],
+                         ids=["missing-dir", "a-directory", "under-a-file"])
+def test_bad_out_is_refused_before_any_work(capsys, tmp_path, argv, target):
+    # an --out that cannot be written exits 3 at once: nothing computed, nothing printed
+    (tmp_path / "a-file").write_text("")
+    out = tmp_path / target
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 3
+    assert stdout == ""  # no norm, no check line, no "checks:" tally
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(out)) in err
+
+
 def test_binary_and_csv_input_agree(capsys, tmp_path):
     spec = GridSpec(1, 64, 2.0 * np.pi)
     f = random_bandlimited(spec, 3, seed=99)

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -93,6 +94,27 @@ def test_binary_round_trip(tmp_path, spec256):
     g = tk.read_binary(path)
     assert g.spec == f.spec
     assert np.array_equal(g.values, f.values)
+
+
+def test_writers_replace_an_existing_file(tmp_path, spec64, spec256):
+    """Writing over a file makes a new file: a hard link to the old one keeps
+    the old samples, a shorter write leaves no tail, and a symlink is
+    written through."""
+    old = tk.random_bandlimited(spec256, 3, 5)
+    new = tk.random_bandlimited(spec64, 3, 6)
+    for write, read in ((tk.write_binary, tk.read_binary),
+                        (tk.write_csv, lambda path: tk.read_csv(path, spec64))):
+        path, link = tmp_path / f"f.{write.__name__}", tmp_path / f"old.{write.__name__}"
+        write(old, path)
+        os.link(path, link)
+        old_bytes = link.read_bytes()
+        write(new, path)
+        assert link.read_bytes() == old_bytes
+        assert np.array_equal(read(path).values, new.values)
+        via = tmp_path / f"via.{write.__name__}"
+        via.symlink_to(link)
+        write(new, via)
+        assert via.is_symlink() and link.read_bytes() == path.read_bytes()
 
 
 def test_binary_truncation_rejected(tmp_path, spec256):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tlmkit as tk
 from tlmkit.errors import ParameterError
@@ -239,6 +240,75 @@ def test_morrey_norms_match_single_scans(spec256, monkeypatch, shape, block_rows
     assert got == want
     assert got == [_reference_morrey_norm(row, spec256, pq, sampler) for row in rows]
     assert _morrey_norms([], spec256, pq, sampler) == []
+
+
+def _row(spec, kind, scale, seed):
+    """A nonnegative row of one kind, times 2^scale."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        row = np.zeros(spec.shape)
+    elif kind == "constant":
+        row = np.full(spec.shape, 1.0 + rng.random())
+    elif kind == "sparse":
+        row = np.zeros(spec.size)
+        row[rng.integers(spec.size, size=3)] = rng.random(3)
+        row = row.reshape(spec.shape)
+    else:
+        row = rng.random(spec.shape) ** 3
+    return np.ldexp(row, scale)
+
+
+PROPERTY_GRIDS = [(1, 8), (1, 64), (1, 256), (2, 8), (2, 16), (3, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=st.sampled_from(PROPERTY_GRIDS), shape=st.sampled_from(["cube", "ball"]),
+       pq=st.sampled_from([(4.0, 2.0), (3.0, 3.0), (6.0, 3.0), (2.5, 1.5)]),
+       rows=st.lists(st.tuples(st.sampled_from(["zero", "constant", "sparse", "dense"]),
+                               st.sampled_from([0, 0, 600, -600, -20]),
+                               st.integers(0, 2**16)), min_size=1, max_size=5),
+       picks=st.sets(st.integers(0, 255), min_size=1, max_size=6))
+def test_pruned_scan_equals_the_unpruned_scan(grid, shape, pq, rows, picks):
+    # bit for bit on random stacks, zero rows and rows rescaled by 2^-600 or
+    # 2^600 at q = 3 among them, over dyadic radii or multiples of h/2 up to L/2
+    spec = tk.GridSpec(*grid)
+    pq = tk.LebesguePair(*pq)
+    radii = sorted({spec.spacing * (1 + k % spec.points) / 2.0 for k in picks})
+    for sampler in (tk.WindowSampler.dyadic(spec, shape), tk.WindowSampler(radii, shape)):
+        stack = [_row(spec, *row) for row in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _morrey_norms(stack, spec, pq, sampler)
+        assert got == [_reference_morrey_norm(row, spec, pq, sampler) for row in stack]
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+@pytest.mark.parametrize("dim,points", [(1, 256), (2, 32), (3, 16)])
+def test_pruned_scan_where_the_bound_is_tight(monkeypatch, shape, dim, points):
+    # a constant field: every window sum is count(R) max g; a single spike:
+    # every window sum is sum g.  Both keep the unpruned scan's bits; on the
+    # spike (p > q) the smallest radius wins and its value lies above every
+    # larger radius's bound, so the scan makes exactly one window sum
+    spec = tk.GridSpec(dim, points)
+    sampler = tk.WindowSampler.dyadic(spec, shape)
+    spike = np.zeros(spec.shape)
+    spike[(3,) * dim] = 2.5
+    constant = np.full(spec.shape, 0.75)
+    for pq in (tk.LebesguePair(4.0, 2.0), tk.LebesguePair(3.0, 3.0)):
+        want = [_reference_morrey_norm(row, spec, pq, sampler) for row in (spike, constant)]
+        assert _morrey_norms([spike, constant], spec, pq, sampler) == want
+    calls = []
+    scan_sum = morrey.window_sum
+
+    def counting_sum(*args, **kwargs):
+        calls.append(args[2:4])
+        return scan_sum(*args, **kwargs)
+
+    monkeypatch.setattr(morrey, "window_sum", counting_sum)
+    pq = tk.LebesguePair(4.0, 2.0)
+    assert _morrey_norms([spike], spec, pq, sampler) == [
+        _reference_morrey_norm(spike, spec, pq, sampler)]
+    assert calls == [(shape, sampler.radii[0])] and len(sampler.radii) > 1
 
 
 def test_functions_on_different_grids_raise_grid_mismatch(spec64, spec256):
