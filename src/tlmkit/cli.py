@@ -2,9 +2,10 @@
 
 Exit codes: 0 all requested checks passed (or a plain computation
 succeeded), 1 at least one check failed, 2 usage or parameter errors,
-3 I/O problems (unreadable input, refused overwrite, bad baseline file,
-an --out whose directory is missing or which is a directory: refused
-before any work).
+3 I/O problems (unreadable input, refused overwrite, a missing,
+unreadable, malformed or stale baseline file, the bundled one included,
+an --out whose directory is missing or which is a directory: each
+refused before any work, the baseline with one line naming its file).
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import errno
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import BandCoverageError, BaselineError, ParameterError, QuadratureError
@@ -54,7 +53,7 @@ EXIT_IO = 3
 _DEMO_SEED_OFFSET = 17
 
 
-def _parse_radii(text: str) -> tuple:
+def _radii_list(text: str) -> tuple:
     try:
         return tuple(sorted(float(x) for x in text.split(",") if x.strip()))
     except ValueError as exc:
@@ -67,26 +66,21 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def _parse_r(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return float("inf")
-    return float(text)
-
-
 # every shared option once; each command adds the ones its code reads
 _OPTIONS = {
     "--grid-dim": dict(type=int, default=1, help="spatial dimension (default 1)"),
-    "--grid-points": dict(type=int, default=256,
-                          help="points per axis, power of two (default 256)"),
-    "--grid-length": dict(type=float, default=2.0 * np.pi,
+    "--grid-points": dict(type=int, default=SuiteConfig.points,
+                          help="points per axis, power of two (default %(default)s)"),
+    "--grid-length": dict(type=float, default=SuiteConfig.length,
                           help="torus side length (default 2*pi)"),
     "--jmax": dict(type=int, default=None,
                    help="top dyadic band (default 6, or for the field commands the "
                         "largest band their grid admits if that is smaller)"),
-    "--seed": dict(type=_parse_seed, default=20260813, help="corpus seed (non-negative)"),
-    "--windows": dict(choices=("cube", "ball"), default="cube",
-                      help="window shape for Morrey sups (default cube)"),
-    "--radii": dict(type=_parse_radii, default=None,
+    "--seed": dict(type=_parse_seed, default=SuiteConfig.seed,
+                   help="corpus seed (non-negative)"),
+    "--windows": dict(choices=("cube", "ball"), default=SuiteConfig.window_shape,
+                      help="window shape for Morrey sups (default %(default)s)"),
+    "--radii": dict(type=_radii_list, default=None,
                     help="comma separated window radii (default dyadic)"),
     "--input": dict(default=None, help=".bin or .csv sample file"),
     "--baseline": dict(default="bundled",
@@ -94,7 +88,7 @@ _OPTIONS = {
     "--out": dict(default=None, help="write a JSON report here"),
     "-p": dict(type=float, default=4.0),
     "-q": dict(type=float, default=2.0),
-    "-r": dict(type=_parse_r, default=2.0, help="block aggregate ('inf' allowed)"),
+    "-r": dict(type=float, default=2.0, help="block aggregate ('inf' allowed)"),
     "-s": dict(type=float, default=0.5, help="smoothness weight"),
 }
 
@@ -144,12 +138,7 @@ def _resolve_baseline(token: str):
     if token == "none":
         return None
     if token == "bundled":
-        try:
-            return BaselineStore.bundled()
-        except BaselineError:
-            print("warning: no bundled baseline; empirical checks stay not-decided",
-                  file=sys.stderr)
-            return None
+        return BaselineStore.bundled()
     return BaselineStore.load(token)
 
 

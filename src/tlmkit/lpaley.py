@@ -42,11 +42,11 @@ def smooth_step(t, sharpness: float = 1.0) -> np.ndarray:
     """C-infinity step: exactly 1 for t <= 2, exactly 0 for t >= 3.
 
     Built from eta(u) = exp(-sharpness/u) (u > 0, else 0) as
-    g = eta(3-t) / (eta(3-t) + eta(t-2)).  Any sharpness > 0 yields an
-    admissible profile; the default 1 is the reference profile.
+    g = eta(3-t) / (eta(3-t) + eta(t-2)).  Any finite sharpness > 0 yields
+    an admissible profile; the default 1 is the reference profile.
     """
-    if sharpness <= 0:
-        raise ParameterError(f"sharpness must be positive, got {sharpness}")
+    if not (sharpness > 0 and np.isfinite(sharpness)):
+        raise ParameterError(f"sharpness must be positive and finite, got {sharpness}")
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape)
     out[t <= 2.0] = 1.0
@@ -102,8 +102,6 @@ def build_family(
         )
     if flavor not in FLAVORS:
         raise ParameterError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    if not (sharpness > 0 and np.isfinite(sharpness)):
-        raise ParameterError(f"sharpness must be positive, got {sharpness}")
     rad = spec.frequency_radius
     steps = [smooth_step(rad / 2.0**j, sharpness) for j in range(j_max + 1)]
     mults = []

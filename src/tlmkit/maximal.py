@@ -84,8 +84,6 @@ def vector_maximal_check(fs, r: float, pq: LebesguePair,
     """
     fs = list(fs)
     spec = _shared_spec(fs)
-    if not r > 1.0:
-        raise ParameterError(f"need r > 1 or inf, got {r}")
     moduli = [f.modulus() for f in fs]
     maxed = [_maximal_array(m, spec, sampler) for m in moduli]
     lhs, rhs = _morrey_norms([_lr_aggregate(maxed, r), _lr_aggregate(moduli, r)],

@@ -49,8 +49,9 @@ bound's own powers and products.  Radii are scanned in decreasing order of
 the block's largest bound, and a radius is skipped only when every row's
 bound is at most that row's best value so far.  The norm is an exact max
 of floats, which does not depend on order, and a skipped radius could not
-have raised it, so every norm keeps the bits of the unpruned scan.  A ball
-scan takes its forward transform only once some radius is scanned.
+have raised it, so every norm keeps the bits of the unpruned scan.  A
+scanned row's peak is positive, so some radius is always scanned, and a
+ball scan transforms its stack forward before the radius loop.
 
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
@@ -264,9 +265,10 @@ def _shared_spec(fs: list) -> GridSpec:
 
 def _lr_aggregate(stack, r: float) -> np.ndarray:
     """Pointwise l^r norm across a nonempty stack of same-shape arrays (a
-    list, or an array whose rows they are); r = inf takes the pointwise max."""
-    if not r > 0:
-        raise ParameterError(f"r must be positive or inf, got {r}")
+    list, or an array whose rows they are); r = inf takes the pointwise max.
+    Every bare r in the package meets its one check of 1 < r <= inf here."""
+    if not 1.0 < r <= np.inf:
+        raise ParameterError(f"need 1 < r <= inf, got r={r}")
     arr = np.asarray(stack)
     if np.isinf(r):
         return arr.max(axis=0)
@@ -343,12 +345,10 @@ def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
         plan.append((max(bounds), radius, vol, bounds))
     plan.sort(key=lambda item: item[0], reverse=True)
     best = [0.0] * len(stack)
-    spectrum = None
+    spectrum = _window_spectrum(spec, g, sampler.window_shape)
     for _, radius, vol, bounds in plan:
         if all(u <= b for u, b in zip(bounds, best)):
             continue
-        if spectrum is None:  # the ball FFT, taken only once a radius is scanned
-            spectrum = _window_spectrum(spec, g, sampler.window_shape)
         sums = window_sum(spec, g, sampler.window_shape, radius, spectrum=spectrum)
         peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
         best = [max(b, value(vol, peak)) for b, peak in zip(best, peaks)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -120,24 +121,25 @@ class BaselineStore:
 
     @classmethod
     def load(cls, path) -> "BaselineStore":
+        """Read and validate a baseline file; a BaselineError names the file."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise BaselineError(f"cannot read baseline {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise BaselineError(f"malformed baseline {path}: {exc}") from exc
         return cls._from_doc(doc, str(path))
 
     @classmethod
     def bundled(cls) -> "BaselineStore":
-        """The baseline shipped with the package."""
-        ref = resources.files("tlmkit").joinpath("data/baseline.json")
-        doc = json.loads(ref.read_text())
-        return cls._from_doc(doc, "bundled")
+        """The baseline shipped with the package, read by load."""
+        return cls.load(resources.files("tlmkit").joinpath("data/baseline.json"))
 
     @classmethod
-    def _from_doc(cls, doc: dict, origin: str) -> "BaselineStore":
+    def _from_doc(cls, doc, origin: str) -> "BaselineStore":
+        if not isinstance(doc, dict):
+            raise BaselineError(f"baseline {origin}: not a JSON object")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise BaselineError(
                 f"baseline {origin}: schema_version "
@@ -147,12 +149,16 @@ class BaselineStore:
         if not isinstance(constants, dict):
             raise BaselineError(f"baseline {origin}: missing constants map")
         for key, value in constants.items():
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
+            # abs(value) compares a JSON integer of any size with the float range
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
                 raise BaselineError(
                     f"baseline {origin}: constant {key!r} is not a finite number"
                 )
-        return cls({k: float(v) for k, v in constants.items()},
-                   dict(doc.get("provenance", {})))
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise BaselineError(f"baseline {origin}: provenance is not an object")
+        return cls({k: float(v) for k, v in constants.items()}, provenance)
 
     def save(self, path, force: bool = False) -> None:
         if os.path.exists(path) and not force:

@@ -60,8 +60,8 @@ class SpaceParams:
 
     def __post_init__(self) -> None:
         LebesguePair(self.p, self.q)  # checks 1 < q <= p < inf
-        if not self.r > 1.0:
-            raise ParameterError(f"need r > 1 (r = inf allowed), got r={self.r}")
+        if not 1.0 < self.r <= np.inf:
+            raise ParameterError(f"need 1 < r <= inf, got r={self.r}")
         if not np.isfinite(self.s):
             raise ParameterError(f"s must be finite, got {self.s}")
 
@@ -161,8 +161,6 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
     tail is a real, nonnegative array on f's grid.  A cutoff whose gate
     equals an earlier cutoff's gets that cutoff's list itself.
     """
-    if not r > 1.0:
-        raise ParameterError(f"need r > 1, got {r}")
     for cutoff in cutoffs:
         if not 0.0 < cutoff <= 1.0:
             raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")

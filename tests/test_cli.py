@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tlmkit import BaselineStore, GridSpec, random_bandlimited, write_binary, write_csv
-from tlmkit.cli import main
+import tlmkit.report
+from tlmkit import BaselineStore, GridSpec, SuiteConfig, random_bandlimited, write_binary, write_csv
+from tlmkit.cli import build_parser, main
 from conftest import spike_field
 
 GRID64 = ["--grid-points", "64"]  # morrey-norm reads no band count
@@ -49,9 +50,10 @@ def test_tlm_norm_rejects_bad_exponents(capsys):
 
 
 def test_tlm_norm_inf_r(capsys):
-    code, out, _ = run(["tlm-norm", "-r", "inf"] + SMALL, capsys)
-    assert code == 0
-    assert "r=inf" in out
+    for spelling in ("inf", "INF", " Infinity "):  # what float() parses
+        code, out, _ = run(["tlm-norm", "-r", spelling] + SMALL, capsys)
+        assert code == 0
+        assert "r=inf" in out
 
 
 def test_missing_input_is_io_error(capsys, tmp_path):
@@ -474,6 +476,49 @@ def test_negative_seed_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, '{"schema', '{"schema_version": 2, "constants": {}}',
+                                     "[1]"], ids=["missing", "corrupt", "stale", "not-an-object"])
+def test_broken_bundled_baseline_exits_3_before_any_check(capsys, monkeypatch, tmp_path,
+                                                          content):
+    path = tmp_path / "data" / "baseline.json"
+    if content is not None:
+        path.parent.mkdir()
+        path.write_text(content)
+    monkeypatch.setattr(tlmkit.report.resources, "files", lambda package: tmp_path)
+    code, out, err = run(["verify-all"], capsys)
+    assert code == 3
+    assert out == ""  # no check ran
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"schema_version": 1, "constants": {"a": 1}, "provenance": [1]},
+    {"schema_version": 1, "constants": {"a": True}},
+    {"schema_version": 1, "constants": {"a": 10**400}},
+], ids=["a-list", "list-provenance", "boolean-constant", "integer-beyond-float64"])
+def test_malformed_baseline_document_exits_3(capsys, tmp_path, doc):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify-all", "--baseline", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["verify-all", "calibrate", "maximal-suite", "tlm-norm",
+                                     "diamond-check", "interp-demo"])
+def test_parser_defaults_are_the_suite_config(command):
+    parser = build_parser()
+    args = parser.parse_args([command])
+    cfg = SuiteConfig()
+    for field, flag in (("seed", "seed"), ("points", "grid_points"),
+                        ("length", "grid_length"), ("window_shape", "windows")):
+        if hasattr(args, flag):
+            assert getattr(args, flag) == getattr(cfg, field), flag
 
 
 def test_version_flag(capsys):

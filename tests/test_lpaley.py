@@ -15,6 +15,15 @@ def test_smooth_step_plateaus():
     assert np.all(np.diff(v) <= 1e-12)
 
 
+@pytest.mark.parametrize("sharpness", [np.inf, np.nan, 0.0, -1.0])
+def test_sharpness_must_be_positive_and_finite(spec256, sharpness):
+    # smooth_step owns the check; build_family reaches it through the profile
+    for make in (lambda: smooth_step([2.5], sharpness),
+                 lambda: tk.build_family(spec256, 6, "plain", sharpness)):
+        with pytest.raises(ParameterError, match="sharpness must be positive and finite"):
+            make()
+
+
 def test_partition_residual_both_flavors(spec256):
     for flavor in ("plain", "square_root"):
         family = tk.build_family(spec256, 6, flavor)

@@ -23,6 +23,35 @@ def test_params_validation():
     assert p.pair.q == 2.0
 
 
+def _bare_r_calls(spec64):
+    """Each public function that takes a bare r, as a function of r."""
+    family = tk.build_family(spec64, 4, "plain")
+    fs = [tk.random_bandlimited(spec64, 2, seed) for seed in (1, 2)]
+    gs = [tk.project(family, 2 + i, tk.GridFunction(
+        spec64, np.random.default_rng(10 + i).standard_normal(spec64.shape))) for i in range(2)]
+    pq = tk.LebesguePair(4.0, 2.0)
+    sampler = tk.WindowSampler.dyadic(spec64, "cube")
+    return {
+        "square_function": lambda r: tk.square_function(fs[0], family, r, 0.0),
+        "truncated_square_function":
+            lambda r: tk.truncated_square_function(fs[0], family, r, 0.0, (0.1,)),
+        "vector_maximal_check": lambda r: tk.vector_maximal_check(fs, r, pq, sampler),
+        "projection_stability_check":
+            lambda r: tk.projection_stability_check(gs, family, 2, r, pq, sampler),
+    }
+
+
+@pytest.mark.parametrize("name", ["square_function", "truncated_square_function",
+                                  "vector_maximal_check", "projection_stability_check"])
+def test_bare_r_follows_one_rule(spec64, name):
+    # 1 < r <= inf, checked once in _lr_aggregate with one message
+    call = _bare_r_calls(spec64)[name]
+    for bad in (1.0, 0.5):
+        with pytest.raises(ParameterError, match=rf"^need 1 < r <= inf, got r={bad}$"):
+            call(bad)
+    call(np.inf)
+
+
 def test_square_function_matches_blocks(spec256, family_plain, f_band4):
     r, s = 2.5, 0.7
     got = tk.square_function(f_band4, family_plain, r, s).values.real
