@@ -116,9 +116,34 @@ def build_family(
     return LPFamily(spec, flavor, sharpness, j_max, tuple(mults))
 
 
-def _apply_multiplier(spec, mult: np.ndarray, coeffs: np.ndarray) -> GridFunction:
-    banded = mult * coeffs
-    return GridFunction(spec, np.fft.ifftn(banded, norm="ortho"), spectrum=banded)
+def _band_stack(f: GridFunction, coeffs: np.ndarray, mults) -> np.ndarray:
+    """The stack m(D) f for the multipliers m of ``mults``, given f's
+    spectrum ``coeffs``: one multiply per band into a preallocated stack and
+    one batched inverse DFT.
+
+    Every multiplier is radial, so a field whose samples have an imaginary
+    part of exactly zero has real blocks: it is multiplied on the half
+    spectrum (the last axis cut to N//2 + 1) and the stack comes back real
+    from irfftn.  Any other field keeps the full complex ifftn, written back
+    into its stack (the ``out=`` argument of numpy.fft needs numpy 2.0).
+    """
+    shape = f.spec.shape
+    axes = tuple(range(1, f.spec.dim + 1))
+    if np.any(f.values.imag):
+        stack = np.empty((len(mults),) + shape, dtype=np.complex128)
+        for band, mult in zip(stack, mults):
+            np.multiply(mult, coeffs, out=band)
+        return np.fft.ifftn(stack, axes=axes, norm="ortho", out=stack)
+    half = shape[-1] // 2 + 1
+    spectra = np.empty((len(mults),) + shape[:-1] + (half,), dtype=np.complex128)
+    for band, mult in zip(spectra, mults):
+        np.multiply(mult[..., :half], coeffs[..., :half], out=band)
+    return np.fft.irfftn(spectra, s=shape, axes=axes, norm="ortho")
+
+
+def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
+    coeffs = f.coeffs()
+    return GridFunction(f.spec, _band_stack(f, coeffs, (mult,))[0], spectrum=mult * coeffs)
 
 
 def project(family: LPFamily, j: int, f: GridFunction) -> GridFunction:
@@ -130,24 +155,19 @@ def project(family: LPFamily, j: int, f: GridFunction) -> GridFunction:
     if not 0 <= j <= family.j_max:
         raise ParameterError(f"band index {j} outside 0..{family.j_max}")
     _check_same_spec(family, f)
-    return _apply_multiplier(f.spec, family.multipliers[j], f.coeffs())
+    return _apply_multiplier(f, family.multipliers[j])
 
 
 def project_all(family: LPFamily, f: GridFunction) -> np.ndarray:
     """The block stack phi_0(D)f, ..., phi_{j_max}(D)f.
 
-    A complex array of shape (j_max + 1, *grid shape): one forward DFT
-    (the cached spectrum when f has one), every band multiplied into one
-    preallocated stack, and one batched inverse DFT written back into it
-    (the ``out=`` argument of numpy.fft needs numpy 2.0). Raises
-    ParameterError if a block leaves float64.
+    An array of shape (j_max + 1, *grid shape) from one forward DFT (the
+    cached spectrum when f has one) and one batched inverse DFT: real
+    float64 when f's samples are real, complex otherwise (_band_stack).
+    Raises ParameterError if a block leaves float64.
     """
     _check_same_spec(family, f)
-    coeffs = f.coeffs()
-    stack = np.empty((len(family.multipliers),) + f.spec.shape, dtype=np.complex128)
-    for band, mult in zip(stack, family.multipliers):
-        np.multiply(mult, coeffs, out=band)
-    np.fft.ifftn(stack, axes=tuple(range(1, stack.ndim)), norm="ortho", out=stack)
+    stack = _band_stack(f, f.coeffs(), family.multipliers)
     if not np.all(np.isfinite(stack)):
         raise ParameterError("samples must be finite")
     return stack
@@ -186,4 +206,4 @@ def reconstruct(family: LPFamily, f: GridFunction, n_terms: int) -> GridFunction
         total = sum(m**2 for m in family.multipliers[: n_terms + 1])
     else:
         total = smooth_step(family.spec.frequency_radius / 2.0**n_terms, family.sharpness)
-    return _apply_multiplier(f.spec, total, f.coeffs())
+    return _apply_multiplier(f, total)

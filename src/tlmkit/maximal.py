@@ -34,7 +34,7 @@ from .morrey import (
     _lr_aggregate,
     _morrey_norms,
     _shared_spec,
-    _window_spectrum,
+    _window_plan,
     window_count,
     window_sum,
 )
@@ -61,11 +61,10 @@ def _maximal_array(modulus: np.ndarray, spec: GridSpec,
     if e:
         return np.ldexp(_maximal_array(np.ldexp(modulus, -e), spec, sampler), e)
     best = modulus.copy()  # the single-point window
-    spectrum = _window_spectrum(spec, modulus, sampler.window_shape)
+    plan = _window_plan(spec, modulus, sampler.window_shape)
     for radius in sampler.radii:
         count = window_count(spec, sampler.window_shape, radius)
-        avg = window_sum(spec, modulus, sampler.window_shape, radius,
-                         spectrum=spectrum) / count
+        avg = window_sum(spec, modulus, sampler.window_shape, radius, plan=plan) / count
         np.maximum(best, avg, out=best)
     return best
 

@@ -23,10 +23,22 @@ slower there.  np.add.accumulate adds sequentially in that same order,
 and IEEE addition is commutative, so the loop has np.cumsum's bits.
 Ball windows use circular FFT convolution against the 0/1
 offset stencil of the window, which wraps correctly and costs
-O(N^n log N) per radius.  A scan over many radii (a Morrey norm, the
-maximal operator) transforms its values forward once and hands that
-spectrum to every radius, which then pays only the stencil product and
-the inverse transform.
+O(N^n log N) per radius.  The values summed over windows are real
+(g = |f|^q), so the convolution runs on the half spectrum: rfftn, and
+irfftn back to a real array.
+
+A scan over many radii (a Morrey norm, the maximal operator) does the
+work that does not depend on the radius once, in its plan
+(_window_plan), and hands that to every radius.  A ball plan is the half
+spectrum of the values; each radius then pays only the product with its
+cached stencil spectrum and one irfftn.  A cube plan is the prefix sums
+along the first grid axis, extended by N - 1 entries, which is as far as
+any radius short of the whole torus reaches.  Each prefix sum c_k is the
+sequential sum of the first k + 1 entries, so it does not depend on how
+far the array is extended: a radius reads the first N + 2m entries of
+the plan and gets the bits of a prefix pass of its own.  The other axes
+sum the first axis's output, which depends on the radius, so they run
+per radius.
 
 Window sums take stacks: leading axes are a batch, and the box filters
 and transforms run over the trailing grid axes only.  A scan of many
@@ -51,7 +63,7 @@ bound is at most that row's best value so far.  The norm is an exact max
 of floats, which does not depend on order, and a skipped radius could not
 have raised it, so every norm keeps the bits of the unpruned scan.  A
 scanned row's peak is positive, so some radius is always scanned, and a
-ball scan transforms its stack forward before the radius loop.
+scan builds its plan before the radius loop.
 
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
@@ -61,7 +73,7 @@ L^p norm up to pure summation rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -148,24 +160,21 @@ def _axis_half_width(spec: GridSpec, radius: float) -> int:
     return min(m, spec.points // 2)
 
 
-def _box_sum_axis(arr: np.ndarray, half_width: int, axis: int) -> np.ndarray:
-    """Periodic moving sum over offsets -m..m along one axis (exact)."""
+def _at(axis: int, start, stop) -> tuple:
+    """A basic slice of ``start:stop`` along ``axis``."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _prefix_sums(arr: np.ndarray, axis: int, extra: int) -> np.ndarray:
+    """Prefix sums c_k along ``axis`` of ``arr`` extended by its first
+    ``extra`` entries (torus wrap).  Each c_k is the sequential sum of the
+    first k+1 entries, so it does not depend on ``extra``."""
     n = arr.shape[axis]
-    w = 2 * half_width + 1
-    if w >= n:
-        total = arr.sum(axis=axis, keepdims=True)
-        return np.broadcast_to(total, arr.shape).copy()
-    m = half_width
-
-    def at(start, stop):  # basic slice along ``axis``
-        return (slice(None),) * axis + (slice(start, stop),)
-
-    # prefix sums c_k of arr extended by its first w-1 entries (torus wrap)
     shape = list(arr.shape)
-    shape[axis] = n + w - 1
+    shape[axis] = n + extra
     csum = np.empty(shape)
-    csum[at(0, n)] = arr
-    csum[at(n, None)] = arr[at(0, w - 1)]
+    csum[_at(axis, 0, n)] = arr
+    csum[_at(axis, n, None)] = arr[_at(axis, 0, extra)]
     if axis == arr.ndim - 1:
         np.cumsum(csum, axis=axis, out=csum)
     else:
@@ -176,6 +185,25 @@ def _box_sum_axis(arr: np.ndarray, half_width: int, axis: int) -> np.ndarray:
         for row in rows[1:]:
             np.add(prev, row, out=row)
             prev = row
+    return csum
+
+
+def _box_sum_axis(arr: np.ndarray, half_width: int, axis: int,
+                  csum: np.ndarray = None) -> np.ndarray:
+    """Periodic moving sum over offsets -m..m along one axis (exact).
+
+    ``csum``, if given, is _prefix_sums(arr, axis, extra) for any extra of
+    at least 2m; only its first N + 2m entries are read."""
+    n = arr.shape[axis]
+    w = 2 * half_width + 1
+    if w >= n:
+        total = arr.sum(axis=axis, keepdims=True)
+        return np.broadcast_to(total, arr.shape).copy()
+    m = half_width
+    at = partial(_at, axis)
+    if csum is None:
+        csum = _prefix_sums(arr, axis, w - 1)
+    csum = csum[at(0, n + w - 1)]
     # the window from i to i+w-1 sums to c_{i+w-1} - c_{i-1} (c_{-1} = 0) and is
     # centred at i+m, so each difference goes straight to its rolled place
     out = np.empty(arr.shape)
@@ -187,14 +215,15 @@ def _box_sum_axis(arr: np.ndarray, half_width: int, axis: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _ball_stencil_data(dim: int, points: int, length: float, radius: float):
-    """(FFT of the 0/1 torus-ball stencil, point count). Cached per grid."""
+    """(half-spectrum rfftn of the 0/1 torus-ball stencil, point count).
+    Cached per grid."""
     h = length / points
     o = np.arange(points)
     axis_dist = np.minimum(o, points - o) * h
     axes = np.meshgrid(*([axis_dist] * dim), indexing="ij", sparse=True)
     dist2 = sum(a**2 for a in axes)
     stencil = (dist2 <= (radius * _EDGE_TOL) ** 2).astype(np.float64)
-    return np.fft.fftn(stencil), int(stencil.sum())
+    return np.fft.rfftn(stencil), int(stencil.sum())
 
 
 def window_count(spec: GridSpec, window_shape: str, radius: float) -> int:
@@ -217,39 +246,43 @@ def _grid_axes(spec: GridSpec, values: np.ndarray) -> tuple:
     return tuple(range(values.ndim - spec.dim, values.ndim))
 
 
-def _window_spectrum(spec: GridSpec, values: np.ndarray, window_shape: str):
-    """What window_sum takes as ``spectrum``: the FFT of ``values`` over the
-    grid axes for ball windows, None for cube windows (which need none)."""
-    if window_shape != "ball":
-        return None
-    return np.fft.fftn(values, axes=_grid_axes(spec, values))
+def _window_plan(spec: GridSpec, values: np.ndarray, window_shape: str) -> np.ndarray:
+    """What window_sum takes as ``plan``, the work a scan over many radii
+    does once: for ball windows the half spectrum rfftn of ``values`` over
+    the grid axes; for cube windows the prefix sums of ``values`` along the
+    first grid axis, extended by N - 1 entries, enough for every radius."""
+    grid_axes = _grid_axes(spec, values)
+    if window_shape == "ball":
+        return np.fft.rfftn(values, axes=grid_axes)
+    return _prefix_sums(values, grid_axes[0], spec.points - 1)
 
 
 def window_sum(spec: GridSpec, values: np.ndarray, window_shape: str,
-               radius: float, *, spectrum=None) -> np.ndarray:
+               radius: float, *, plan=None) -> np.ndarray:
     """Sum of ``values`` over the window around every grid point.
 
     ``values`` is a real array of shape (*batch, *spec.shape); the result
     has the same shape, entry (b, x) holding sum_{y in W(x,R)} values[b, y]
     with torus wrap.  Each row of the batch gets the bits it would get alone.
-    A ball scan over many radii passes ``spectrum``, the FFT of ``values``
-    over the grid axes (_window_spectrum), so that the forward transform
-    runs once for all of them.
+    A scan over many radii passes ``plan``, _window_plan of ``values``, so
+    that the forward transform of a ball scan and the first-axis prefix sums
+    of a cube scan run once for all of them; a cube sum gets the same bits
+    with a plan as without.
     """
     if window_shape not in WINDOW_SHAPES:
         raise ParameterError(f"unknown window shape {window_shape!r}")
-    grid_axes = _grid_axes(spec, values)
+    first, *rest = grid_axes = _grid_axes(spec, values)
     if window_shape == "cube":
-        out = values
         m = _axis_half_width(spec, radius)
-        for axis in grid_axes:
+        out = _box_sum_axis(values, m, first, plan)
+        for axis in rest:
             out = _box_sum_axis(out, m, axis)
         return out
     stencil_hat, _ = _ball_stencil_data(spec.dim, spec.points, spec.length, radius)
-    if spectrum is None:
-        spectrum = _window_spectrum(spec, values, window_shape)
+    if plan is None:
+        plan = _window_plan(spec, values, window_shape)
     # stencil is symmetric under negation, so convolution == correlation
-    out = np.fft.ifftn(spectrum * stencil_hat, axes=grid_axes).real
+    out = np.fft.irfftn(plan * stencil_hat, s=spec.shape, axes=grid_axes)
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -336,20 +369,20 @@ def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
     totals = flat.sum(axis=1).tolist()
     tops = flat.max(axis=1).tolist()
     pad = 8.0 * spec.size * np.finfo(np.float64).eps
-    plan = []
+    order = []
     for radius in sampler.radii:
         count = window_count(spec, sampler.window_shape, radius)
         vol = window_volume(spec, sampler.window_shape, radius)
         bounds = [value(vol, min(t, count * m) + pad * t) * (1.0 + 1e-9)
                   for t, m in zip(totals, tops)]
-        plan.append((max(bounds), radius, vol, bounds))
-    plan.sort(key=lambda item: item[0], reverse=True)
+        order.append((max(bounds), radius, vol, bounds))
+    order.sort(key=lambda item: item[0], reverse=True)
     best = [0.0] * len(stack)
-    spectrum = _window_spectrum(spec, g, sampler.window_shape)
-    for _, radius, vol, bounds in plan:
+    plan = _window_plan(spec, g, sampler.window_shape)
+    for _, radius, vol, bounds in order:
         if all(u <= b for u, b in zip(bounds, best)):
             continue
-        sums = window_sum(spec, g, sampler.window_shape, radius, spectrum=spectrum)
+        sums = window_sum(spec, g, sampler.window_shape, radius, plan=plan)
         peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
         best = [max(b, value(vol, peak)) for b, peak in zip(best, peaks)]
     return best

@@ -140,10 +140,12 @@ class BaselineStore:
     def _from_doc(cls, doc, origin: str) -> "BaselineStore":
         if not isinstance(doc, dict):
             raise BaselineError(f"baseline {origin}: not a JSON object")
-        if doc.get("schema_version") != SCHEMA_VERSION:
+        version = doc.get("schema_version")
+        # JSON true and 1.0 compare equal to 1 but are not an integer version
+        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
             raise BaselineError(
                 f"baseline {origin}: schema_version "
-                f"{doc.get('schema_version')!r} != {SCHEMA_VERSION}"
+                f"{version!r} != {SCHEMA_VERSION}"
             )
         constants = doc.get("constants")
         if not isinstance(constants, dict):

@@ -499,7 +499,10 @@ def test_broken_bundled_baseline_exits_3_before_any_check(capsys, monkeypatch, t
     {"schema_version": 1, "constants": {"a": 1}, "provenance": [1]},
     {"schema_version": 1, "constants": {"a": True}},
     {"schema_version": 1, "constants": {"a": 10**400}},
-], ids=["a-list", "list-provenance", "boolean-constant", "integer-beyond-float64"])
+    {"schema_version": True, "constants": {"a": 1}},
+    {"schema_version": 1.0, "constants": {"a": 1}},
+], ids=["a-list", "list-provenance", "boolean-constant", "integer-beyond-float64",
+        "boolean-version", "float-version"])
 def test_malformed_baseline_document_exits_3(capsys, tmp_path, doc):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps(doc))

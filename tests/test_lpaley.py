@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tlmkit as tk
 from tlmkit.errors import ParameterError
-from tlmkit.lpaley import LPFamily, smooth_step
+from tlmkit.grid import _ldexp
+from tlmkit.lpaley import FLAVORS, LPFamily, smooth_step, top_band
 
 
 def test_smooth_step_plateaus():
@@ -61,6 +63,66 @@ def test_project_all_matches_project(family_plain, f_band4):
     for j in (0, 3, 6):
         single = tk.project(family_plain, j, f_band4)
         assert np.array_equal(blocks[j], single.values)
+
+
+def _partial_sum_multiplier(family, n_terms):
+    """The one multiplier of reconstruct(family, ., n_terms)."""
+    if family.flavor == "square_root":
+        return sum(m**2 for m in family.multipliers[: n_terms + 1])
+    return smooth_step(family.spec.frequency_radius / 2.0**n_terms, family.sharpness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from([(1, 64), (1, 256), (2, 32), (3, 16)]),
+       flavor=st.sampled_from(FLAVORS), seed=st.integers(0, 2**31 - 1),
+       e=st.integers(-900, 900), cached=st.booleans(), data=st.data())
+def test_real_fields_match_the_complex_transform(grid, flavor, seed, e, cached, data):
+    # a real field's blocks come from irfftn on the half spectrum: real float64,
+    # within 1e-14 of the stack's peak of the complex ifftn of the full spectrum,
+    # and exactly 0.0 on bands disjoint from a band-limited field's support
+    spec = tk.GridSpec(*grid)
+    family = tk.build_family(spec, top_band(spec), flavor)
+    band = data.draw(st.integers(0, family.j_max - 1), label="band")
+    f = _ldexp(tk.random_bandlimited(spec, band, seed), e)
+    if not cached:
+        f = tk.GridFunction(spec, f.values)
+    coeffs = f.coeffs()
+    want = np.stack([np.fft.ifftn(m * coeffs, norm="ortho") for m in family.multipliers])
+    tol = 1e-14 * np.max(np.abs(want))
+    blocks = tk.project_all(family, f)
+    assert blocks.dtype == np.float64 and blocks.shape == want.shape
+    assert np.max(np.abs(blocks - want)) <= tol
+    for j in range(family.j_max + 1):
+        single = tk.project(family, j, f).values
+        assert not np.any(single.imag) and np.max(np.abs(single - want[j])) <= tol
+        total = _partial_sum_multiplier(family, j)
+        back = tk.reconstruct(family, f, j).values
+        ref = np.fft.ifftn(total * coeffs, norm="ortho")
+        assert not np.any(back.imag)
+        assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
+    if cached:  # phi_j vanishes on |xi| <= 2**(j-1), which holds f's spectrum
+        assert np.all(blocks[band + 1:] == 0.0)
+        assert all(np.all(tk.project(family, j, f).values == 0.0)
+                   for j in range(band + 1, family.j_max + 1))
+
+
+@pytest.mark.parametrize("grid", [(1, 256), (2, 32), (3, 16)])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_complex_fields_keep_the_full_complex_transform(grid, flavor):
+    # bit for bit the batched in-place ifftn of the full spectrum products
+    spec = tk.GridSpec(*grid)
+    family = tk.build_family(spec, top_band(spec), flavor)
+    f = tk.random_bandlimited(spec, family.j_max - 1, 5, real_output=False)
+    coeffs = f.coeffs()
+    stack = np.stack([m * coeffs for m in family.multipliers])
+    want = np.fft.ifftn(stack, axes=tuple(range(1, stack.ndim)), norm="ortho")
+    assert np.array_equal(tk.project_all(family, f), want)
+    for j, mult in enumerate(family.multipliers):
+        assert np.array_equal(tk.project(family, j, f).values,
+                              np.fft.ifftn(mult * coeffs, norm="ortho"))
+        total = _partial_sum_multiplier(family, j)
+        assert np.array_equal(tk.reconstruct(family, f, j).values,
+                              np.fft.ifftn(total * coeffs, norm="ortho"))
 
 
 def test_full_reconstruction_band_limited(spec256, f_band4):

@@ -152,9 +152,9 @@ def _reference_box_sum_axis(arr, half_width, axis):
                                         (2, 256), (3, 8), (3, 32), (3, 64)])
 def test_cube_window_sum_matches_reference_box_filter(dim, points):
     # bit for bit against np.cumsum's prefix sums, for one array and for a stack
-    # with batch axes (2, 3), on values spread over 18 decades; at every dyadic
-    # radius and at h/2 (half-width 0), or on the largest grids at a narrow and
-    # a wide radius short of the whole torus
+    # with batch axes (2, 3), on values spread over 18 decades, with and without
+    # a scan's plan; at every dyadic radius and at h/2 (half-width 0), or on the
+    # largest grids at a narrow and a wide radius short of the whole torus
     spec = tk.GridSpec(dim, points)
     rng = np.random.default_rng(dim * points)
     radii = tk.WindowSampler.dyadic(spec).radii
@@ -162,11 +162,14 @@ def test_cube_window_sum_matches_reference_box_filter(dim, points):
     for batch in ((), (2, 3)):
         shape = batch + spec.shape
         values = np.ldexp(rng.random(shape), rng.integers(-30, 31, shape))
+        plan = morrey._window_plan(spec, values, "cube")
         for radius in radii:
             want = values
             for axis in range(len(batch), len(shape)):
                 want = _reference_box_sum_axis(want, _axis_half_width(spec, radius), axis)
             assert np.array_equal(window_sum(spec, values, "cube", radius), want), \
+                (batch, radius)
+            assert np.array_equal(window_sum(spec, values, "cube", radius, plan=plan), want), \
                 (batch, radius)
 
 
@@ -174,15 +177,19 @@ def test_cube_window_sum_matches_reference_box_filter(dim, points):
 @pytest.mark.parametrize("dim,points", [(1, 256), (1, 4096), (2, 64), (3, 16)])
 def test_window_sum_of_a_stack_matches_rows(shape, dim, points):
     # leading batch axes (2, 3): each row gets the bits of a call on it alone,
-    # and so does a ball scan handed the stack's spectrum, computed once
+    # and so does a scan handed the stack's plan, computed once
     spec = tk.GridSpec(dim, points)
     stack = np.random.default_rng(dim * points).random((2, 3) + spec.shape) ** 3
-    spectrum = morrey._window_spectrum(spec, stack, shape)
-    assert (spectrum is None) is (shape == "cube")
+    plan = morrey._window_plan(spec, stack, shape)
+    if shape == "cube":
+        # np.cumsum's bits along the first grid axis, over the grid and its
+        # first N - 1 entries again
+        wrapped = np.concatenate([stack, stack.take(range(points - 1), axis=2)], axis=2)
+        assert np.array_equal(plan, np.cumsum(wrapped, axis=2))
     for radius in tk.WindowSampler.dyadic(spec).radii + (spec.spacing / 2.0,):
         got = window_sum(spec, stack, shape, radius)
         assert got.shape == stack.shape
-        assert np.array_equal(window_sum(spec, stack, shape, radius, spectrum=spectrum), got)
+        assert np.array_equal(window_sum(spec, stack, shape, radius, plan=plan), got)
         for b in np.ndindex(2, 3):
             assert np.array_equal(got[b], window_sum(spec, stack[b], shape, radius)), (b, radius)
 

@@ -145,7 +145,9 @@ def test_truncated_tails_per_cutoff_match_one_cutoff_calls(spec64, r, s, field):
 def test_diamond_criterion_scans_cutoffs_with_equal_gates_once(spec64, monkeypatch,
                                                                scale, shared, shape):
     # S(f) spans [0.190, 2.15] at scale 2, inside both gates; at scale 1 it dips
-    # below 0.1 and at scale 20 it passes 10, so there the gates differ
+    # below 0.1 and at scale 20 it passes 10, so there the gates differ.  The
+    # norms differ only where the gated-out mass is material: at scale 1 the
+    # gates differ by one point of 64, and the norms at most by round-off
     f = tk.random_bandlimited(spec64, 3, 2024) * scale
     family = tk.build_family(spec64, 4, "plain")
     params = tk.SpaceParams(4.0, 2.0, 2.5, 0.3)
@@ -155,7 +157,11 @@ def test_diamond_criterion_scans_cutoffs_with_equal_gates_once(spec64, monkeypat
     want = {repr(a): _morrey_norms(_one_cutoff_tails(f, family, params.r, params.s, a),
                                    spec64, params.pair, sampler)
             for a in DIAMOND_CUTOFFS}
-    assert (want["0.1"] == want["0.01"]) is shared
+    if shared:
+        assert want["0.1"] == want["0.01"]
+    gated, wider = np.array(want["0.1"]), np.array(want["0.01"])
+    material = np.abs(gated - wider) > 1e-12 * np.maximum(gated, wider)
+    assert bool(material.any()) is (scale == 20.0)
     scans = []
 
     def counting_norms(rows, *args):
