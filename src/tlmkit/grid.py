@@ -139,6 +139,11 @@ class GridSpec:
         rad2 = sum(a**2 for a in axes)
         return np.sqrt(rad2)
 
+    def dyadic_ball(self, k: int) -> np.ndarray:
+        """Mask of the lattice frequencies |xi| <= 2**k, shape ``self.shape``;
+        the relative slack 1e-12 keeps frequencies on the sphere inside."""
+        return self.frequency_radius <= 2.0**k * (1.0 + 1e-12)
+
     @cached_property
     def coordinates(self) -> list:
         """Per-axis sample coordinates x = i*h as sparse meshgrid arrays."""
@@ -146,8 +151,7 @@ class GridSpec:
         return np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True)
 
 
-def _as_field(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+def _as_field(spec: GridSpec, arr: np.ndarray) -> np.ndarray:
     if arr.size != spec.size:
         raise ParameterError(
             f"expected {spec.size} samples for {spec.shape}, got {arr.size}"
@@ -158,9 +162,25 @@ def _as_field(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _samples(values) -> np.ndarray:
+    """float64 when the imaginary part is exactly zero (-0.0 too), else
+    complex128; never the caller's memory, and read-only."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and np.any(arr.imag):
+        out = arr.astype(np.complex128, copy=False)
+    else:
+        out = np.ascontiguousarray(arr.real, dtype=np.float64)
+    if np.may_share_memory(out, arr):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex-valued samples on a :class:`GridSpec` lattice (row-major).
+    """Samples on a :class:`GridSpec` lattice (row-major): float64 when
+    their imaginary part is exactly zero, complex128 otherwise.  The field
+    keeps its own read-only copy, so its cached DFT cannot go stale.
 
     ``spectrum`` optionally carries the unitary DFT of the samples.  It is
     set by constructors that build a function *from* its coefficients
@@ -169,7 +189,7 @@ class GridFunction:
     operators read it through :meth:`coeffs`, so a function assembled with
     exactly bounded spectral support keeps exact zeros through the whole
     projection pipeline instead of picking up transform round-off.
-    Linear arithmetic propagates the cache when every operand has one.
+    Linear arithmetic propagates it when every operand has one.
     """
 
     spec: GridSpec
@@ -177,15 +197,23 @@ class GridFunction:
     spectrum: np.ndarray = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_field(self.spec, self.values))
+        object.__setattr__(self, "values", _as_field(self.spec, _samples(self.values)))
         if self.spectrum is not None:
-            object.__setattr__(self, "spectrum", _as_field(self.spec, self.spectrum))
+            spectrum = np.asarray(self.spectrum, dtype=np.complex128)
+            object.__setattr__(self, "spectrum", _as_field(self.spec, spectrum))
+
+    @cached_property
+    def _dft(self) -> np.ndarray:
+        coeffs = np.fft.fftn(self.values, norm="ortho")
+        coeffs.flags.writeable = False
+        return coeffs
 
     def coeffs(self) -> np.ndarray:
-        """Unitary DFT of the samples (the cached spectrum when present)."""
+        """Unitary DFT of the samples: ``spectrum`` when given, else the
+        DFT computed on first use and kept read-only."""
         if self.spectrum is not None:
             return self.spectrum
-        return np.fft.fftn(self.values, norm="ortho")
+        return self._dft
 
     def modulus(self) -> np.ndarray:
         return np.abs(self.values)
@@ -214,7 +242,7 @@ class GridFunction:
 def _ldexp(f: GridFunction, e: int) -> GridFunction:
     """f * 2^e, exact at any e: real and imaginary parts go through np.ldexp."""
     def scale(arr):
-        return None if arr is None else np.ldexp(arr.view(np.float64), e).view(np.complex128)
+        return None if arr is None else np.ldexp(arr.view(np.float64), e).view(arr.dtype)
     return GridFunction(f.spec, scale(f.values), scale(f.spectrum))
 
 
@@ -269,11 +297,10 @@ def random_bandlimited(
     if not real_output:
         noise = noise + 1j * rng.standard_normal(spec.shape)
     coeffs = np.fft.fftn(noise, norm="ortho")
-    mask = spec.frequency_radius <= 2.0**max_band * (1.0 + 1e-12)
-    coeffs = np.where(mask, coeffs, 0.0)
+    coeffs = np.where(spec.dyadic_ball(max_band), coeffs, 0.0)
     out = np.fft.ifftn(coeffs, norm="ortho")
     if real_output:
-        out = out.real.astype(np.complex128)
+        out = out.real
         # taking the real part symmetrizes the spectrum; the mask is
         # reflection-invariant, so the exact support survives
         coeffs = 0.5 * (coeffs + np.conj(_reflect_spectrum(coeffs)))

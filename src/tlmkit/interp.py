@@ -332,10 +332,9 @@ def sum_space_proxy(g: GridFunction, lp_family: LPFamily, end0: SpaceParams,
     under enlarging the split family.
     """
     coeffs = g.coeffs()
-    rad = g.spec.frequency_radius
     lows = []
     for level in range(lp_family.j_max + 1):
-        low_part = np.where(rad <= 2.0**level * (1 + 1e-12), coeffs, 0)
+        low_part = np.where(g.spec.dyadic_ball(level), coeffs, 0)
         lows.append(GridFunction(g.spec, np.fft.ifftn(low_part, norm="ortho"),
                                  spectrum=low_part))
     # g itself heads both corpora: the two trivial splits

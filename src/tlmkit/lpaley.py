@@ -116,20 +116,21 @@ def build_family(
     return LPFamily(spec, flavor, sharpness, j_max, tuple(mults))
 
 
-def _band_stack(f: GridFunction, coeffs: np.ndarray, mults) -> np.ndarray:
-    """The stack m(D) f for the multipliers m of ``mults``, given f's
-    spectrum ``coeffs``: one multiply per band into a preallocated stack and
-    one batched inverse DFT.
+def _band_stack(f: GridFunction, mults) -> np.ndarray:
+    """The stack m(D) f for the multipliers m of ``mults``, from f's
+    spectrum (f.coeffs()): one multiply per band into a preallocated stack
+    and one batched inverse DFT.
 
-    Every multiplier is radial, so a field whose samples have an imaginary
-    part of exactly zero has real blocks: it is multiplied on the half
-    spectrum (the last axis cut to N//2 + 1) and the stack comes back real
-    from irfftn.  Any other field keeps the full complex ifftn, written back
-    into its stack (the ``out=`` argument of numpy.fft needs numpy 2.0).
+    Every multiplier is radial, so a real field (float64 samples) has real
+    blocks: it is multiplied on the half spectrum (the last axis cut to
+    N//2 + 1) and the stack comes back real from irfftn.  A complex field
+    keeps the full complex ifftn, written back into its stack (the ``out=``
+    argument of numpy.fft needs numpy 2.0).
     """
     shape = f.spec.shape
     axes = tuple(range(1, f.spec.dim + 1))
-    if np.any(f.values.imag):
+    coeffs = f.coeffs()
+    if np.iscomplexobj(f.values):
         stack = np.empty((len(mults),) + shape, dtype=np.complex128)
         for band, mult in zip(stack, mults):
             np.multiply(mult, coeffs, out=band)
@@ -142,8 +143,7 @@ def _band_stack(f: GridFunction, coeffs: np.ndarray, mults) -> np.ndarray:
 
 
 def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    coeffs = f.coeffs()
-    return GridFunction(f.spec, _band_stack(f, coeffs, (mult,))[0], spectrum=mult * coeffs)
+    return GridFunction(f.spec, _band_stack(f, (mult,))[0], spectrum=mult * f.coeffs())
 
 
 def project(family: LPFamily, j: int, f: GridFunction) -> GridFunction:
@@ -161,13 +161,14 @@ def project(family: LPFamily, j: int, f: GridFunction) -> GridFunction:
 def project_all(family: LPFamily, f: GridFunction) -> np.ndarray:
     """The block stack phi_0(D)f, ..., phi_{j_max}(D)f.
 
-    An array of shape (j_max + 1, *grid shape) from one forward DFT (the
-    cached spectrum when f has one) and one batched inverse DFT: real
-    float64 when f's samples are real, complex otherwise (_band_stack).
+    An array of shape (j_max + 1, *grid shape) from f's spectrum
+    (f.coeffs(): the exact one when f carries it, else the DFT f computes
+    once and keeps) and one batched inverse DFT: real float64 when f is
+    real, complex otherwise (_band_stack).
     Raises ParameterError if a block leaves float64.
     """
     _check_same_spec(family, f)
-    stack = _band_stack(f, f.coeffs(), family.multipliers)
+    stack = _band_stack(f, family.multipliers)
     if not np.all(np.isfinite(stack)):
         raise ParameterError("samples must be finite")
     return stack
@@ -183,7 +184,7 @@ def partition_residual(family: LPFamily) -> float:
         total = sum(m**2 for m in family.multipliers)
     else:
         total = sum(family.multipliers)
-    region = family.spec.frequency_radius <= 2.0 ** (family.j_max + 1) * (1 + 1e-12)
+    region = family.spec.dyadic_ball(family.j_max + 1)
     return float(np.max(np.abs(total[region] - 1.0)))
 
 

@@ -76,6 +76,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PSI_NODES)
 _X_EDGE = 373.0
 
 
+def _check_r(r: float) -> None:
+    """The scalar rule 1 <= r < inf, for every entry point that takes r."""
+    if not 1.0 <= r < np.inf:
+        raise ParameterError(f"need 1 <= r < inf, got r={r}")
+
+
 @dataclass(frozen=True)
 class PhiPsiParams:
     kappa: float
@@ -84,8 +90,7 @@ class PhiPsiParams:
     def __post_init__(self) -> None:
         if not (self.kappa > 0 and np.isfinite(self.kappa)):
             raise ParameterError(f"kappa must be positive, got {self.kappa}")
-        if not (1.0 <= self.r < np.inf):
-            raise ParameterError(f"need 1 <= r < inf, got r={self.r}")
+        _check_r(self.r)
 
 
 def _log_s_plus_inv(s):
@@ -272,8 +277,7 @@ def log_damping_complex_check(z: complex, r: float) -> tuple:
     z = complex(z)
     if z.real < 0:
         raise ParameterError(f"need Re(z) >= 0, got {z}")
-    if not 1.0 <= r < np.inf:
-        raise ParameterError(f"need 1 <= r < inf, got {r}")
+    _check_r(r)
 
     # the s > 1 branch with s^-z maps onto the (0,1) branch under s -> 1/s
     # (log(s^r) flips sign inside |.|, log(s + 1/s) is invariant), so one
@@ -289,8 +293,7 @@ def log_damping_imag_check(t: float, r: float) -> tuple:
     the (coarse, refined) pair of sups, as for the complex exponent."""
     if not np.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
-    if not 1.0 <= r < np.inf:
-        raise ParameterError(f"need 1 <= r < inf, got {r}")
+    _check_r(r)
 
     # |s^it - 1| = 2|sin(t log s / 2)| exactly, and every factor is
     # invariant under s -> 1/s, so scanning (0,1) covers all s != 1

@@ -84,7 +84,7 @@ def coverage_defect(family: LPFamily, f: GridFunction) -> float:
     total = float(np.sum(modulus**2))
     if total == 0.0:
         return 0.0
-    outside = f.spec.frequency_radius > 2.0 ** (family.j_max + 1) * (1 + 1e-12)
+    outside = ~f.spec.dyadic_ball(family.j_max + 1)
     return float(np.sum(modulus[outside] ** 2)) / total
 
 

@@ -280,7 +280,7 @@ def unit_ball_indicator(spec: GridSpec) -> GridFunction:
     """The indicator of the unit ball around the origin; its (4, 2) Morrey
     norm is |B|^(1/4)."""
     dist = sum(np.minimum(x, spec.length - x) ** 2 for x in spec.coordinates)
-    return GridFunction(spec, (np.sqrt(dist) <= 1.0).astype(np.complex128))
+    return GridFunction(spec, np.sqrt(dist) <= 1.0)
 
 
 def oracle_radii(spec: GridSpec, remedy: str = "raise --grid-length to at least 3") -> tuple:
@@ -489,9 +489,9 @@ def run_holder_suite(cfg: SuiteConfig) -> list:
     for entry in HOLDER_SETUPS:
         setup = _setup(entry)
         for f in corpus[:20]:
-            s_mid = square_function(f, family, setup.mid.r, setup.mid.s).values.real
-            s_0 = square_function(f, family, setup.end0.r, setup.end0.s).values.real
-            s_1 = square_function(f, family, setup.end1.r, setup.end1.s).values.real
+            s_mid = square_function(f, family, setup.mid.r, setup.mid.s).values
+            s_0 = square_function(f, family, setup.end0.r, setup.end0.s).values
+            s_1 = square_function(f, family, setup.end1.r, setup.end1.s).values
             bound = s_0 ** (1.0 - setup.theta) * s_1**setup.theta
             live = bound > 0
             if np.any(s_mid[~live] > 0):

@@ -57,6 +57,20 @@ def small_store(small_cfg):
     return tk.calibrate_constants(small_cfg)
 
 
+@pytest.fixture
+def fftn_calls(monkeypatch):
+    """A list that grows by one on every np.fft.fftn call of the test."""
+    calls = []
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    return calls
+
+
 def spike_field(spec):
     """A finite real field with one sample at 1.7e308, next to float64's limit."""
     values = tk.random_bandlimited(spec, 3, 99).values.copy()

@@ -1,3 +1,4 @@
+import itertools
 import os
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 import tlmkit as tk
 from conftest import scaled, spike_field
 from tlmkit.errors import ParameterError
+from tlmkit.grid import _ldexp
 
 
 def unitary_dft(f):
@@ -175,3 +177,95 @@ def test_arithmetic_and_mismatch(spec64, spec256):
     other = tk.random_bandlimited(spec256, 2, 1)
     with pytest.raises(tk.GridMismatchError):
         _ = f + other
+
+
+def test_a_field_knows_it_is_real(tmp_path, spec64):
+    # float64 samples exactly when the imaginary part is zero, -0.0 included
+    x = tk.random_bandlimited(spec64, 3, 7).values
+    signed = x.astype(np.complex128)
+    signed.imag = np.where(np.arange(64) % 2, -0.0, 0.0)
+    for values in (x, x.astype(np.complex128), signed, list(x), np.arange(64)):
+        f = tk.GridFunction(spec64, values)
+        assert f.values.dtype == np.float64 and f.values.flags.c_contiguous
+        assert np.array_equal(f.values, np.real(values))
+    z = tk.random_bandlimited(spec64, 3, 7, real_output=False)
+    assert z.values.dtype == np.complex128 and np.any(z.values.imag)
+    assert tk.GridFunction(spec64, z.values).values.dtype == np.complex128
+    # spectra stay complex128, whatever the samples
+    real = tk.random_bandlimited(spec64, 3, 7)
+    assert real.values.dtype == np.float64
+    assert real.spectrum.dtype == z.spectrum.dtype == np.complex128
+    assert tk.GridFunction(spec64, x, spectrum=np.ones(64)).spectrum.dtype == np.complex128
+    # a real field read back from either file format is real again
+    for f, want in ((real, np.float64), (z, np.complex128)):
+        tk.write_binary(f, tmp_path / "f.bin")
+        tk.write_csv(f, tmp_path / "f.csv")
+        for g in (tk.read_binary(tmp_path / "f.bin"), tk.read_csv(tmp_path / "f.csv", spec64)):
+            assert g.values.dtype == want and np.array_equal(g.values, f.values)
+
+
+def test_arithmetic_and_ldexp_keep_dtypes_exactly(spec64):
+    f = tk.random_bandlimited(spec64, 2, 1)
+    g = tk.random_bandlimited(spec64, 2, 2)
+    z = tk.random_bandlimited(spec64, 2, 3, real_output=False)
+    assert (f + g).values.dtype == (f - g).values.dtype == (2.5 * f).values.dtype == np.float64
+    assert np.array_equal((f + g).values, f.values + g.values)
+    assert np.array_equal((f - g).values, f.values - g.values)
+    assert np.array_equal((2.5 * f).values, 2.5 * f.values)
+    assert (f + z).values.dtype == (1j * f).values.dtype == np.complex128
+    assert np.array_equal((f + z).values, f.values + z.values)
+    assert (f + g).spectrum.dtype == (2.5 * f).spectrum.dtype == np.complex128
+    assert np.array_equal((f + g).spectrum, f.spectrum + g.spectrum)
+    for h, e in itertools.product((f, z, tk.GridFunction(spec64, f.values)), (-700, -1, 3, 900)):
+        scaled_h = _ldexp(h, e)
+        assert scaled_h.values.dtype == h.values.dtype
+        assert np.array_equal(scaled_h.values.real, np.ldexp(h.values.real, e))
+        assert np.array_equal(scaled_h.values.imag, np.ldexp(h.values.imag, e))
+        assert np.array_equal(_ldexp(scaled_h, -e).values, h.values)
+        if h.spectrum is None:
+            assert scaled_h.spectrum is None
+        else:
+            assert scaled_h.spectrum.dtype == np.complex128
+            assert np.array_equal(_ldexp(scaled_h, -e).spectrum, h.spectrum)
+
+
+@pytest.mark.parametrize("real_output", [True, False])
+def test_the_dft_is_computed_once_and_read_only(spec256, fftn_calls, real_output):
+    drawn = tk.random_bandlimited(spec256, 4, 11, real_output=real_output)
+    assert drawn.coeffs() is drawn.spectrum  # the exact spectrum, never a transform
+    f = tk.GridFunction(spec256, drawn.values)
+    start = len(fftn_calls)
+    coeffs = f.coeffs()
+    assert f.coeffs() is coeffs and len(fftn_calls) == start + 1
+    assert np.array_equal(coeffs, np.fft.fftn(f.values, norm="ortho"))
+    assert coeffs.dtype == np.complex128 and not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0] = 0.0
+    # arithmetic passes on only exact spectra, so it cannot depend on the cache
+    assert (f + f).spectrum is None and (2.0 * f).spectrum is None
+
+
+@pytest.mark.parametrize("real_output", [True, False])
+def test_a_mutated_source_cannot_stale_the_dft(spec64, real_output):
+    source = np.array(tk.random_bandlimited(spec64, 3, 5, real_output=real_output).values)
+    kept = source.copy()
+    f = tk.GridFunction(spec64, source)
+    coeffs = np.array(f.coeffs())
+    source[0] += 1.0
+    assert not np.shares_memory(f.values, source)
+    assert np.array_equal(f.values, kept) and np.array_equal(f.coeffs(), coeffs)
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[0] = 1.0
+    assert source.flags.writeable  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("grid", [(1, 256), (2, 32), (3, 16)])
+def test_dyadic_ball_keeps_its_sphere(grid):
+    spec = tk.GridSpec(*grid)
+    for k in range(3):
+        ball = spec.dyadic_ball(k)
+        assert np.array_equal(ball, spec.frequency_radius <= 2.0**k * (1.0 + 1e-12))
+        # the lattice point at radius exactly 2**k lies inside
+        assert ball[(2**k,) + (0,) * (spec.dim - 1)]
+        assert not ball[(2**k + 1,) + (0,) * (spec.dim - 1)]

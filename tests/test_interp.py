@@ -85,6 +85,17 @@ def built_family(spec256, family_sqrt, sampler256):
                                     family_sqrt, sampler256)
 
 
+@pytest.mark.parametrize("kind", interp.FAMILY_KINDS)
+def test_family_build_transforms_each_function_once(spec256, family_sqrt, sampler256,
+                                                    kind, fftn_calls):
+    # one forward DFT for f (its middle norm) and one for the rescaled base
+    # (its coverage check and its blocks)
+    f = tk.GridFunction(spec256, tk.random_bandlimited(spec256, 4, 314).values)
+    start = len(fftn_calls)
+    tk.build_analytic_family(kind, collapse_setup(), f, family_sqrt, sampler256)
+    assert len(fftn_calls) == start + 2
+
+
 def test_family_requires_squared_flavor(spec256, family_plain, sampler256):
     f = tk.random_bandlimited(spec256, 4, 314)
     with pytest.raises(ParameterError):

@@ -163,6 +163,17 @@ def test_psi_tail_rejects_middle_arguments():
         tk.psi_tail_bound_check(0.5, 0.3, PhiPsiParams(0.5, 2.0))
 
 
+@pytest.mark.parametrize("r", [0.5, np.inf])
+@pytest.mark.parametrize("entry", [lambda r: PhiPsiParams(1.0, r),
+                                   lambda r: tk.log_damping_complex_check(0.5 + 1j, r),
+                                   lambda r: tk.log_damping_imag_check(2.0, r)],
+                         ids=["PhiPsiParams", "log_damping_complex_check",
+                              "log_damping_imag_check"])
+def test_every_scalar_entry_point_refuses_r_outside_one_to_inf(entry, r):
+    with pytest.raises(ParameterError, match=rf"^need 1 <= r < inf, got r={r}$"):
+        entry(r)
+
+
 def test_log_damping_imag_exact_formula():
     # |s^{it} - 1| = 2|sin(t log s / 2)| drives the scan; spot check it
     t, s = 3.0, 0.37

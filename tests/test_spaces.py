@@ -7,6 +7,7 @@ import tlmkit as tk
 from conftest import scaled, spike_field
 from tlmkit.errors import BandCoverageError, ParameterError
 from tlmkit import spaces
+from tlmkit.lpaley import top_band
 from tlmkit.morrey import _lr_aggregate, _morrey_norms
 from tlmkit.spaces import (DIAMOND_CUTOFFS, _tlm_norms, _weighted_blocks, coverage_defect,
                            ensure_band_covered)
@@ -359,3 +360,21 @@ def test_diamond_criterion_distinguishes(spec256, family_plain, sampler256):
     g = tk.persistent_block_function(spec256, family_plain, s=params.s)
     rep_bad = tk.diamond_criterion(g, family_plain, params, sampler256)
     assert rep_bad.verdict == "not-decided"
+
+
+@pytest.mark.parametrize("grid", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("real_output", [True, False])
+def test_one_forward_dft_per_function(grid, real_output, fftn_calls):
+    # a field read from samples alone is transformed once: the coverage check
+    # and the projection share its DFT
+    spec = tk.GridSpec(*grid)
+    family = tk.build_family(spec, top_band(spec), "plain")
+    sampler = tk.WindowSampler.dyadic(spec, "cube")
+    params = tk.SpaceParams(4.0, 2.0, 2.0, 0.5)
+    drawn = tk.random_bandlimited(spec, family.j_max - 1, 8, real_output=real_output)
+    for run in (lambda f: tk.tlm_norm(f, family, params, sampler),
+                lambda f: tk.diamond_criterion(f, family, params, sampler)):
+        f = tk.GridFunction(spec, drawn.values)
+        start = len(fftn_calls)
+        run(f)
+        assert len(fftn_calls) == start + 1
