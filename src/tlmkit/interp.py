@@ -55,11 +55,12 @@ stored slope, and its integral over a segment [a, b] is
 
     carrier * exp(E) * (b - a) * exprel((b - a) beta),   exprel(w) = expm1(w)/w,
 
-one exponential and one expm1 per live point and band, then the same
-j_max + 2 transforms as one evaluation of F; G carries its spectrum.  A
-composite Gauss-Legendre rule, which sums w_k F(z_k) node by node on each
-unit-length chunk, stays as the independent oracle that the
-contour-quadrature check compares with it, to QUAD_TOL.
+by `scalars.exprel`: one exponential and one expm1 per live point and
+band, then the same j_max + 2 transforms as one evaluation of F; G
+carries its spectrum.  A composite Gauss-Legendre rule, which sums
+w_k F(z_k) node by node on each unit-length chunk, stays as the
+independent oracle that the contour-quadrature check compares with it,
+to QUAD_TOL.
 The checks return numbers; the suites module turns them into verdicts.
 """
 
@@ -74,6 +75,7 @@ from .grid import GridFunction
 from .lpaley import LPFamily, project_all
 from .morrey import WindowSampler, _lr_aggregate
 from .report import safe_ratio
+from .scalars import exprel
 from .spaces import SpaceParams, _block_moduli, _tlm_norms, _weigh, tlm_norm
 
 __all__ = [
@@ -292,9 +294,7 @@ def segment_integral(fam: AnalyticFamily, z_from: complex, z_to: complex) -> Gri
         rising = w.real > 0.0
         expo = np.where(rising, expo + w, expo)
         w = np.where(rising, -w, w)
-        rel = np.ones_like(w)  # exprel(0) = 1
-        np.divide(np.expm1(w), w, out=rel, where=w != 0.0)
-        return band.carrier * np.exp(expo) * d * rel
+        return band.carrier * np.exp(expo) * d * exprel(w)
 
     return _synthesize(fam, band_term, f"G on the segment [{z_from}, {z_to}]")
 

@@ -51,6 +51,7 @@ from .errors import ParameterError, QuadratureError
 
 __all__ = [
     "PhiPsiParams",
+    "exprel",
     "phi_kappa",
     "psi_kappa",
     "sequence_power_margin",
@@ -60,7 +61,7 @@ __all__ = [
     "exp_log_bound_check",
 ]
 
-# series/direct crossover for removable singularities at s = 1 (w = z log s)
+# series/direct crossover of exprel(w) - 1, which cancels as w -> 0 (w = h log t)
 _SERIES_CUT = 1e-4
 
 PSI_TOL = 1e-10  # relative gap allowed between the Psi table and its half-width check
@@ -247,24 +248,17 @@ def _s_grids() -> tuple:
     return grid, np.unique(np.concatenate([grid, np.sqrt(grid[:-1] * grid[1:])]))
 
 
+def exprel(w):
+    """exprel(w) = (e^w - 1)/w = expm1(w)/w elementwise, exactly 1 at w = 0."""
+    w = np.asarray(w)
+    rel = np.ones_like(w)
+    np.divide(np.expm1(w), w, out=rel, where=w != 0.0)
+    return rel
+
+
 def _power_ratio_small_s(z: complex, r: float, s: np.ndarray) -> np.ndarray:
-    """|(s^z - 1)/log(s^r)| * log(s + 1/s), series-stabilized near s = 1."""
-    ls = np.log(s)
-    w = z * ls
-    direct_mask = np.abs(w) >= _SERIES_CUT
-    quot = np.empty(s.shape, dtype=np.complex128)
-    quot[direct_mask] = (np.exp(w[direct_mask]) - 1.0) / (r * ls[direct_mask])
-    small = ~direct_mask
-    if np.any(small):
-        # (e^w - 1)/(r log s) = (z/r) sum_{n>=0} w^n/(n+1)!
-        ws = w[small]
-        series = np.zeros(ws.shape, dtype=np.complex128)
-        term = np.ones(ws.shape, dtype=np.complex128)
-        for n in range(1, 9):
-            series += term
-            term = term * ws / (n + 1.0)
-        quot[small] = (z / r) * series
-    return np.abs(quot) * _log_s_plus_inv(s)
+    """|(s^z - 1)/log(s^r)| * log(s + 1/s) = |z/r| |exprel(z log s)| log(s + 1/s)."""
+    return abs(z / r) * np.abs(exprel(z * np.log(s))) * _log_s_plus_inv(s)
 
 
 def log_damping_complex_check(z: complex, r: float) -> tuple:
@@ -289,20 +283,11 @@ def log_damping_complex_check(z: complex, r: float) -> tuple:
 
 
 def log_damping_imag_check(t: float, r: float) -> tuple:
-    """Empirical C_t for the purely imaginary exponent s^(it), s != 1:
-    the (coarse, refined) pair of sups, as for the complex exponent."""
+    """Empirical C_t for the purely imaginary exponent s^(it), s != 1: the
+    complex scan at z = it, whose branches coincide under s -> 1/s."""
     if not np.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
-    _check_r(r)
-
-    # |s^it - 1| = 2|sin(t log s / 2)| exactly, and every factor is
-    # invariant under s -> 1/s, so scanning (0,1) covers all s != 1
-    def sup_on(g: np.ndarray) -> float:
-        ls = np.log(g)
-        lhs = 2.0 * np.abs(np.sin(t * ls / 2.0)) / (r * np.abs(ls))
-        return float(np.max(lhs * _log_s_plus_inv(g)))
-
-    return tuple(sup_on(g) for g in _s_grids())
+    return log_damping_complex_check(1j * t, r)
 
 
 def psi_tail_bound_check(t, a: float, params: PhiPsiParams) -> tuple:
@@ -329,11 +314,12 @@ def psi_tail_bound_check(t, a: float, params: PhiPsiParams) -> tuple:
 
 
 def _exp_log_modulus(h: complex, t: np.ndarray) -> np.ndarray:
-    """|(exp(h log t) - 1)/(h log t) - 1| with the w -> 0 limit filled in."""
+    """|exprel(w) - 1| at w = h log t, by its series where the difference
+    cancels (|w| < _SERIES_CUT)."""
     w = h * np.log(t)
     out = np.zeros(w.shape, dtype=np.float64)
     direct = np.abs(w) >= _SERIES_CUT
-    out[direct] = np.abs((np.exp(w[direct]) - 1.0) / w[direct] - 1.0)
+    out[direct] = np.abs(exprel(w[direct]) - 1.0)
     small = ~direct
     if np.any(small):
         ws = w[small]

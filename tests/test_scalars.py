@@ -10,13 +10,24 @@ from hypothesis import given, settings, strategies as st
 import tlmkit as tk
 from tlmkit.errors import ParameterError
 from tlmkit.scalars import (
+    _SERIES_CUT,
+    EXP_LOG_POINTS,
     PhiPsiParams,
+    _exp_log_modulus,
     _power_ratio_small_s,
+    _s_grids,
+    exprel,
     phi_kappa,
     psi_kappa,
     sequence_power_margin,
 )
-from tlmkit.suites import _PHI_SUM_CASES, EXACT_SLACK, STABILITY_TOL
+from tlmkit.suites import (
+    _EXP_LOG_CASES,
+    _LOG_COMPLEX_CASES,
+    _PHI_SUM_CASES,
+    EXACT_SLACK,
+    STABILITY_TOL,
+)
 
 # (kappa, r, t, value) computed with 30-digit adaptive quadrature
 PSI_ORACLE = (
@@ -175,13 +186,19 @@ def test_every_scalar_entry_point_refuses_r_outside_one_to_inf(entry, r):
 
 
 def test_log_damping_imag_exact_formula():
-    # |s^{it} - 1| = 2|sin(t log s / 2)| drives the scan; spot check it
-    t, s = 3.0, 0.37
-    direct = abs(s**(1j * t) - 1.0)
-    assert direct == pytest.approx(2.0 * abs(np.sin(t * np.log(s) / 2.0)), rel=1e-13)
-    coarse, refined = tk.log_damping_imag_check(t, 2.0)
+    # |s^{it} - 1| = 2|sin(t log s / 2)|: the complex scan at z = it meets it
+    t, r, s = 3.0, 2.0, 0.37
+    exact = 2.0 * abs(np.sin(t * np.log(s) / 2.0)) / (r * abs(np.log(s))) \
+        * np.log(s + 1.0 / s)
+    assert _power_ratio_small_s(1j * t, r, np.array([s]))[0] == pytest.approx(exact, rel=1e-13)
+    coarse, refined = tk.log_damping_imag_check(t, r)
     assert np.isfinite(refined)
     assert abs(refined - coarse) <= STABILITY_TOL * refined
+
+
+@pytest.mark.parametrize("t,r", [(1.0, 1.0), (3.0, 2.0), (-2.5, 1.5), (0.0, 1.0)])
+def test_log_damping_imag_is_the_complex_scan_at_it(t, r):
+    assert tk.log_damping_imag_check(t, r) == tk.log_damping_complex_check(1j * t, r)
 
 
 def test_log_damping_branch_symmetry():
@@ -195,14 +212,71 @@ def test_log_damping_branch_symmetry():
         assert direct == pytest.approx(inner, rel=1e-12)
 
 
+_EXPREL_ARGS = (
+    0j, 1e-300, -1e-300, 1e-300j, 1e-300 * (1 + 1j), 1e-200 - 3e-201j, 1e-100j,
+    1e-20 + 1e-20j, 1e-8, -1e-8j, 1e-8 * (1 - 2j),
+    0.99e-4, 1.01e-4, -0.99e-4j, 1.01e-4 * (0.6 + 0.8j),  # both sides of 1e-4
+    1.0, -1.0, 1j, 1 + 1j, -0.5 + 2j, 25.7j, 2j * np.pi, -2j * np.pi,
+    -40.0, -40 + 3j, -700 + 1j, -800 + 3j, -1e4 + 0.1j,  # large negative real parts
+)
+
+
+def test_exprel_matches_mpmath():
+    got = exprel(np.array(_EXPREL_ARGS, dtype=np.complex128))
+    assert got[0] == 1.0
+    with mpmath.workdps(50):
+        for w, value in zip(_EXPREL_ARGS[1:], got[1:]):
+            ref = mpmath.expm1(mpmath.mpc(w)) / mpmath.mpc(w)
+            assert abs(value - ref) <= 4 * np.finfo(np.float64).eps * abs(ref), w
+
+
+@pytest.mark.parametrize("z,r", _LOG_COMPLEX_CASES)
+def test_power_ratio_matches_mpmath_on_the_coarse_grid(z, r):
+    # the reference takes the float64 log s the scan uses, so near the zeros
+    # of s^(it) - 1 it measures the evaluation, not the rounding of log s
+    s = _s_grids()[0]
+    got = _power_ratio_small_s(z, r, s)
+    with mpmath.workdps(40):
+        for si, ls, value in zip(s, np.log(s), got):
+            w = mpmath.mpc(z) * mpmath.mpf(ls)
+            ref = abs(mpmath.expm1(w) / (r * mpmath.mpf(ls))) \
+                * mpmath.log(mpmath.mpf(si) + 1 / mpmath.mpf(si))
+            assert abs(value - ref) <= 1e-14 * ref, si
+
+
+def _exp_log_sup(h: complex, eps: float, n: int):
+    """The sup of exp_log_bound_check on n points per grid, in mpmath."""
+    best = mpmath.mpf(0)
+    for sign, t in ((1, 2.0 ** np.linspace(-60.0, 0.0, n)),
+                    (-1, 2.0 ** np.linspace(0.0, 60.0, n))):
+        for ti in t:
+            w = mpmath.mpc(h) * mpmath.log(mpmath.mpf(ti))
+            modulus = abs(mpmath.expm1(w) / w - 1) if w != 0 else 0
+            best = max(best, mpmath.mpf(ti) ** (sign * eps) * modulus)
+    return best / abs(h)
+
+
+@pytest.mark.parametrize("h,eps", _EXP_LOG_CASES)
+def test_exp_log_bound_matches_mpmath(h, eps):
+    got = tk.exp_log_bound_check(h, eps)
+    with mpmath.workdps(30):
+        for value, n in zip(got, (EXP_LOG_POINTS, 2 * EXP_LOG_POINTS)):
+            ref = _exp_log_sup(h, eps, n)
+            assert abs(value - ref) <= 1e-12 * ref, n
+
+
 def test_log_damping_series_matches_direct():
-    # crossing the series cutoff must be seamless
-    z, r = 0.8 + 0.1j, 2.0
-    s_near = np.exp(np.array([-2e-4, -0.5e-4]) / abs(z))  # |w| straddles 1e-4
-    vals = _power_ratio_small_s(z, r, s_near)
-    direct = (np.abs(s_near ** z - 1.0) / np.abs(np.log(s_near ** r))
-              * np.log(s_near + 1.0 / s_near))
-    assert np.allclose(vals, direct, rtol=1e-9)
+    # crossing the series cutoff of |exprel(w) - 1| must be seamless: both
+    # branches match mpmath where |w| straddles _SERIES_CUT
+    h = 0.3 - 0.4j
+    w_abs = np.array([0.5, 0.99, 1.01, 2.0]) * _SERIES_CUT
+    t = np.exp(-w_abs / abs(h))
+    got = _exp_log_modulus(h, t)
+    with mpmath.workdps(30):
+        for ti, value in zip(t, got):
+            w = mpmath.mpc(h) * mpmath.log(mpmath.mpf(ti))
+            ref = abs(mpmath.expm1(w) / w - 1)
+            assert abs(value - ref) <= 1e-10 * ref, ti
 
 
 def test_exp_log_bound_requires_margin():
