@@ -18,6 +18,7 @@ import csv
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +40,10 @@ __all__ = [
 
 _HEADER = struct.Struct("<IId")  # dim, points per axis, domain length
 _ECHO_CHARS = 80  # longest bad CSV row quoted back in an error
+_CSV_HEADER = "index,re,im"
+_CSV_ROW = np.dtype([("index", "<i8"), ("re", "<f8"), ("im", "<f8")])
+_CSV_CHUNK = 4096  # rows formatted per write: bounds the strings held at once
+_CSV_PLAIN = bytes(range(0x20, 0x7F)) + b"\r\n"  # printable ASCII and line ends
 
 # binary exponents of float64's normal range, 2^-1022 .. 2^1024
 _MIN_EXP = np.finfo(np.float64).minexp
@@ -358,13 +363,9 @@ def _create(path, mode: str, **kwargs):
 def write_binary(f: GridFunction, path) -> None:
     """16-byte header (dim uint32, N uint32, L float64, little endian)
     followed by interleaved re/im float64 samples in row-major order."""
-    flat = f.values.ravel()
-    data = np.empty(2 * flat.size, dtype="<f8")
-    data[0::2] = flat.real
-    data[1::2] = flat.imag
     with _create(path, "wb") as fh:
         fh.write(_HEADER.pack(f.spec.dim, f.spec.points, f.spec.length))
-        fh.write(data.tobytes())
+        fh.write(np.asarray(f.values, dtype="<c16").tobytes())
 
 
 def read_binary(path) -> GridFunction:
@@ -391,18 +392,82 @@ def read_binary(path) -> GridFunction:
 
 
 def write_csv(f: GridFunction, path) -> None:
-    """Rows (index, re, im) with a header line; index is row-major."""
+    """Rows (index, re, im) with a header line and CRLF line ends; index is
+    row-major, re and im are the repr of each part."""
     flat = f.values.ravel()
     with _create(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(flat):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        fh.write(_CSV_HEADER + "\r\n")
+        for start in range(0, flat.size, _CSV_CHUNK):
+            chunk = flat[start:start + _CSV_CHUNK]
+            rows = zip(range(start, start + chunk.size),
+                       chunk.real.tolist(), chunk.imag.tolist())
+            fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in rows))
 
 
 def read_csv(path, spec: GridSpec) -> GridFunction:
-    """Read rows (index, re, im); each index 0..size-1 exactly once."""
-    values = np.zeros(spec.size, dtype=np.complex128)
+    """Read rows (index, re, im); each index 0..size-1 exactly once.
+
+    A printable-ASCII file holding the indices 0..size-1 in order, one row
+    each, is parsed by one np.loadtxt; any other file, and every refusal, goes
+    through the row loop, which accepts the same files and reads the same
+    values."""
+    columns = _read_csv_in_order(path, spec)
+    if columns is None:
+        columns = _read_csv_rows(path, spec)
+    return _file_function(path, spec, _csv_samples(*columns))
+
+
+def _csv_samples(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The samples complex(re) + 1j*complex(im), bit for bit: 1j*im is
+    (0*im - 0, 0 + im), so for finite im the real part gains a zero of im's
+    sign and an imaginary -0.0 becomes 0.0.  A non-finite part stays
+    non-finite, so the finiteness check refuses the same files."""
+    values = np.empty(re.shape, dtype=np.complex128)
+    values.real = re + np.copysign(0.0, im)
+    values.imag = im + 0.0
+    return values
+
+
+def _read_csv_in_order(path, spec: GridSpec):
+    """(re, im) columns of a printable-ASCII file that is write_csv's header
+    and then rows with the indices 0..size-1 in order; None for any other
+    file.  Blank rows are skipped, as the row loop skips them.  Within
+    printable ASCII every field loadtxt reads, int() or float() reads alike;
+    outside it they differ (loadtxt strips the control characters U+001C to
+    U+001F as whitespace, float() refuses them), so such files go to the loop."""
+    if not _is_plain(path):
+        return None
+    with open(path, newline="", encoding="ascii") as fh:
+        if fh.readline().rstrip("\r\n") != _CSV_HEADER:
+            return None
+        try:
+            # an empty body warns; that, like a parse error, leaves it to the loop
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None,
+                                  quotechar=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if rows.size != spec.size or np.any(rows["index"] != np.arange(spec.size)):
+        return None
+    return rows["re"], rows["im"]
+
+
+def _is_plain(path) -> bool:
+    """True when the file holds only printable ASCII, CR and LF."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.translate(None, _CSV_PLAIN):
+                return False
+    return True
+
+
+def _read_csv_rows(path, spec: GridSpec):
+    """(re, im) columns of any file the csv module splits into rows (index,
+    re, im, ...) that hold each index 0..size-1 exactly once; blank and
+    ``index`` rows are skipped.  ParameterError names the first bad row."""
+    re = np.zeros(spec.size)
+    im = np.zeros(spec.size)
     seen = np.zeros(spec.size, dtype=bool)
     n_rows = 0
     # undecodable bytes become U+FFFD and fail the row parse below
@@ -413,7 +478,7 @@ def read_csv(path, spec: GridSpec) -> GridFunction:
                 continue
             try:
                 i = int(row[0])
-                value = float(row[1]) + 1j * float(row[2])
+                re_i, im_i = float(row[1]), float(row[2])
             except (IndexError, ValueError):
                 got = repr(row)
                 if len(got) > _ECHO_CHARS:
@@ -423,11 +488,11 @@ def read_csv(path, spec: GridSpec) -> GridFunction:
                 ) from None
             if not 0 <= i < spec.size:
                 raise ParameterError(f"{path}: index {i} out of range")
-            values[i] = value
+            re[i], im[i] = re_i, im_i
             seen[i] = True
             n_rows += 1
     if not seen.all():
         raise ParameterError(f"{path}: missing {int((~seen).sum())} samples")
     if n_rows != spec.size:
         raise ParameterError(f"{path}: {n_rows - spec.size} duplicate indices")
-    return _file_function(path, spec, values)
+    return re, im

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 # series/direct crossover of exprel(w) - 1, which cancels as w -> 0 (w = h log t)
-_SERIES_CUT = 1e-4
+_SERIES_CUT = 1e-2
 
 PSI_TOL = 1e-10  # relative gap allowed between the Psi table and its half-width check
 PSI_NODES = 16  # Gauss-Legendre nodes per panel of the Psi table

@@ -1,12 +1,16 @@
+import csv
 import itertools
 import os
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tlmkit as tk
 from conftest import scaled, spike_field
+from tlmkit import grid
 from tlmkit.errors import ParameterError
 from tlmkit.grid import _ldexp
 
@@ -140,6 +144,214 @@ def test_csv_round_trip(tmp_path, spec64):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParameterError):
         tk.read_csv(path, spec64)
+
+
+def _csv_writer_bytes(f, path):
+    """What csv.writer writes for write_csv's rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "re", "im"])
+        for i, v in enumerate(f.values.ravel()):
+            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    return path.read_bytes()
+
+
+def _row_loop(path, spec):
+    """read_csv through the row loop alone."""
+    return grid._file_function(path, spec, grid._csv_samples(*grid._read_csv_rows(path, spec)))
+
+
+def _outcome(read, path, spec):
+    """(dtype, sample bytes) of a read, or the message it refuses with."""
+    try:
+        values = read(path, spec).values
+    except ParameterError as exc:
+        return str(exc)
+    return values.dtype.str, values.tobytes()
+
+
+# repr switches to exponent notation at 1e16 and below 1e-4
+REPR_EDGES = [1e16, 9999999999999998.0, 1e-4, 9.9e-5, -0.0, 5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("real_output", [True, False])
+def test_write_csv_matches_csv_writer_across_chunks(tmp_path, real_output):
+    f = tk.random_bandlimited(tk.GridSpec(2, 128), 4, 8, real_output=real_output)
+    assert f.spec.size > 2 * grid._CSV_CHUNK
+    tk.write_csv(f, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == _csv_writer_bytes(f, tmp_path / "ref.csv")
+    assert _outcome(tk.read_csv, tmp_path / "f.csv", f.spec) == \
+        _outcome(_row_loop, tmp_path / "f.csv", f.spec)
+
+
+def test_write_csv_at_repr_switch_points(tmp_path):
+    spec = tk.GridSpec(1, 8)
+    edges = np.array(REPR_EDGES)
+    signed_zeros = edges.astype(np.complex128)
+    signed_zeros.imag = np.where(np.arange(8) % 2, -0.0, 1.0)
+    for values in (edges, edges + 1j * edges[::-1], signed_zeros):
+        f = tk.GridFunction(spec, values)
+        tk.write_csv(f, tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == _csv_writer_bytes(f, tmp_path / "ref.csv")
+        assert grid._read_csv_in_order(tmp_path / "f.csv", spec) is not None
+        assert _outcome(tk.read_csv, tmp_path / "f.csv", spec) == \
+            _outcome(_row_loop, tmp_path / "f.csv", spec)
+
+
+@pytest.mark.parametrize("real_output", [True, False])
+def test_write_binary_bytes(tmp_path, real_output):
+    f = tk.random_bandlimited(tk.GridSpec(2, 32), 2, 4, real_output=real_output)
+    flat = f.values.ravel()
+    data = np.empty(2 * flat.size, dtype="<f8")
+    data[0::2] = flat.real
+    data[1::2] = flat.imag
+    tk.write_binary(f, tmp_path / "f.bin")
+    want = struct.pack("<IId", 2, 32, f.spec.length) + data.tobytes()
+    assert (tmp_path / "f.bin").read_bytes() == want
+    signed = tk.GridFunction(tk.GridSpec(1, 8), np.array(REPR_EDGES) * (1 - 1j))
+    tk.write_binary(signed, tmp_path / "s.bin")
+    assert np.array_equal(tk.read_binary(tmp_path / "s.bin").values.view(np.uint64),
+                          signed.values.view(np.uint64))
+
+
+def test_csv_samples_are_the_complex_sum_bit_for_bit():
+    # complex(a) + 1j*complex(b) is float(a) + 1j*float(b) up to Python 3.13
+    parts = [0.0, -0.0, 1.5, -2.5, 5e-324, -1e308, np.inf, -np.inf, np.nan]
+    a, b = (np.array(x) for x in zip(*itertools.product(parts, parts)))
+    want = np.array([complex(x) + 1j * complex(y) for x, y in zip(a, b)])
+    got = grid._csv_samples(a, b)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+    assert not np.any(np.isfinite(got[~finite]))
+
+
+ROWS8 = [f"{i},{v!r},{-v!r}" for i, v in enumerate(REPR_EDGES)]
+
+
+def _body(rows, eol="\n"):
+    return "index,re,im" + eol + "".join(row + eol for row in rows)
+
+
+def _with(row3):
+    return _body(ROWS8[:3] + [row3] + ROWS8[4:])
+
+
+# files the in-order path must read as the row loop does, or leave to it
+CSV_EDGE_CASES = {
+    "crlf": _body(ROWS8, "\r\n"),
+    "lone-cr": _body(ROWS8, "\r"),
+    "no-final-eol": _body(ROWS8)[:-1],
+    "blank-rows": _body(ROWS8[:4] + ["", ""] + ROWS8[4:], "\r\n"),
+    "whitespace-row": _body(ROWS8[:4] + ["  "] + ROWS8[4:]),
+    "tab-row": _body(ROWS8[:4] + ["\t"] + ROWS8[4:]),
+    "repeated-header": _body(ROWS8[:4] + ["index,re,im"] + ROWS8[4:]),
+    "other-header": "index,x,y\n" + _body(ROWS8).split("\n", 1)[1],
+    "no-header": _body(ROWS8).split("\n", 1)[1],
+    "extra-column": _body([row + ",7" for row in ROWS8]),
+    "trailing-comma": _body([row + "," for row in ROWS8]),
+    "quoted": _with('"3","1.0","2.0"'),
+    "permuted": _body(ROWS8[::-1]),
+    "duplicate": _body(ROWS8 + [ROWS8[2]]),
+    "missing": _body(ROWS8[:-1]),
+    "no-rows": "index,re,im\n",
+    "empty-field": _with("3,,2.0"),
+    "index-float": _with("3.0,1.0,2.0"),
+    "index-underscore": _body([f"{i}_0,0.5,0.5" if i == 1 else f"{i},0.5,0.5" for i in range(8)]),
+    "index-plus": _with("+3,1.0,2.0"),
+    "index-spaced": _with(" 3 ,1.0,2.0"),
+    "index-unicode-digit": _with("\u0663,1.0,2.0"),
+    "index-huge": _with("9" * 400 + ",1.0,2.0"),
+    "index-negative-zero": _body(["-0,1.0,2.0"] + ROWS8[1:]),
+    "float-underscore": _with("3,1_0,2.0"),
+    "float-hex": _with("3,0x10,2.0"),
+    "float-fortran": _with("3,1d3,2.0"),
+    "float-bare-exponent": _with("3,1e,2.0"),
+    "float-complex": _with("3,1j,2.0"),
+    "float-unicode-digit": _with("3,\u0661,2.0"),
+    "float-spaced": _with("3, 1.5 ,2.0"),
+    "float-tabbed": _with("3,\t1.5\t,2.0"),
+    "float-separator": _with("3,\x1c1.5,2.0"),
+    "index-separator": _with("\x1f3,1.5,2.0"),
+    "float-nbsp": _with("3,\xa01.5,2.0"),
+    "float-nul": _with("3,1.5\x00,2.0"),
+    "float-inf": _with("3,inf,2.0"),
+    "float-nan": _with("3,1.0,NaN"),
+    "float-overflow": _with("3,1e400,2.0"),
+    "float-underflow": _with("3,1e-400,-1e-400"),
+    "float-short-forms": _with("3,5.,.5"),
+    "float-long-digits": _with("3,2.2250738585072011e-308,9007199254740993"),
+    "comment": _with("3,1.0,2.0#x"),
+    "cr-inside-row": _with("3,1.0\r,2.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_EDGE_CASES))
+def test_read_csv_matches_row_loop_on_edge_files(tmp_path, name):
+    spec = tk.GridSpec(1, 8)
+    path = tmp_path / "f.csv"
+    path.write_bytes(CSV_EDGE_CASES[name].encode())
+    assert _outcome(tk.read_csv, path, spec) == _outcome(_row_loop, path, spec)
+
+
+def test_read_csv_takes_the_in_order_path_only_on_plain_ascii(tmp_path):
+    spec = tk.GridSpec(1, 8)
+    path = tmp_path / "f.csv"
+    for name in ("crlf", "lone-cr", "no-final-eol", "blank-rows", "float-spaced",
+                 "index-plus", "float-underflow", "float-long-digits"):
+        path.write_bytes(CSV_EDGE_CASES[name].encode())
+        assert grid._read_csv_in_order(path, spec) is not None, name
+    # loadtxt would read these, float() refuses them
+    for name in ("float-separator", "index-separator"):
+        path.write_bytes(CSV_EDGE_CASES[name].encode())
+        assert grid._read_csv_in_order(path, spec) is None
+        with pytest.raises(ParameterError, match="line 5"):
+            tk.read_csv(path, spec)
+
+
+# what an edit may write: field syntax, separators, every kind of whitespace
+# and line end, quotes, and non-ASCII digits and spaces; single characters
+# are drawn as often as strings of them
+MUTATION_ALPHABET = list("0123456789+-._eEdxjinfatyINFATY,\"#' \t\r\n") + [
+    "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f", "\x85",
+    "\xa0", "\u2028", "\u0663", "\ufffd"]
+_EDIT_TEXT = st.one_of(st.sampled_from(MUTATION_ALPHABET),
+                       st.text(alphabet=MUTATION_ALPHABET, max_size=3))
+
+
+def _sample_text(v: float, style: int) -> str:
+    return (repr(v), f"{v:.17e}", f"{v:.6g}", f" {v!r} ")[style]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=16, max_size=16),
+       style=st.integers(0, 3), eol=st.sampled_from(["\r\n", "\n"]),
+       field_edits=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 2), _EDIT_TEXT),
+                            max_size=2),
+       text_edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2), _EDIT_TEXT),
+                           max_size=2))
+def test_read_csv_matches_row_loop(tmp_path_factory, values, style, eol,
+                                   field_edits, text_edits):
+    spec = tk.GridSpec(1, 8)
+    fields = [[str(i), _sample_text(values[2 * i], style), _sample_text(values[2 * i + 1], style)]
+              for i in range(8)]
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(_body([",".join(row) for row in fields], eol).encode())
+    assert grid._read_csv_in_order(path, spec) is not None
+    # a field edit pads a field in front or behind, or replaces it
+    for k, how, new in field_edits:
+        row, col = divmod(k, 3)
+        old = fields[row][col]
+        fields[row][col] = (new + old, old + new, new)[how]
+    text = _body([",".join(row) for row in fields], eol)
+    # a text edit replaces up to two characters anywhere with up to three
+    for where, width, new in text_edits:
+        i = where % (len(text) + 1)
+        text = text[:i] + new + text[i + width:]
+    path.write_bytes(text.encode())
+    assert _outcome(tk.read_csv, path, spec) == _outcome(_row_loop, path, spec)
 
 
 def test_lp_norm_variants(spec64):
