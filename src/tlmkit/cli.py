@@ -4,15 +4,15 @@ Exit codes: 0 all requested checks passed (or a plain computation
 succeeded), 1 at least one check failed, 2 usage or parameter errors,
 3 I/O problems (unreadable input, refused overwrite, a missing,
 unreadable, malformed or stale baseline file, the bundled one included,
-an --out whose directory is missing or which is a directory: each
-refused before any work, the baseline with one line naming its file).
+an --out that is empty, whose directory is missing or which is a
+directory: each refused before any work, the baseline with one line
+naming its file).
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
@@ -178,7 +178,9 @@ def _check_out(path: str) -> None:
     """Refuse, before any work, an --out that write_json could not write:
     the same OSError, naming the given path, that the write would raise."""
     parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
@@ -197,11 +199,11 @@ def _finish(args, reports, meta: dict) -> int:
 
 # ------------------------------------------------------------------ commands
 
-def cmd_verify_all(args) -> int:
+def cmd_suite(args) -> int:
+    """Run args.suite; the report's config holds the args.meta fields (all when None)."""
     cfg = _config_from_args(args)
-    baseline = _resolve_baseline(args.baseline)
-    reports = verify_all(cfg, baseline)
-    return _finish(args, reports, cfg.meta())
+    reports = args.suite(cfg, _resolve_baseline(args.baseline))
+    return _finish(args, reports, cfg.meta(args.meta))
 
 
 def cmd_calibrate(args) -> int:
@@ -298,20 +300,6 @@ def cmd_interp_demo(args) -> int:
                                    "mid": vars(setup.mid)})
 
 
-def cmd_scalar_suite(args) -> int:
-    cfg = _config_from_args(args)
-    baseline = _resolve_baseline(args.baseline)
-    reports = run_scalar_exact_suite(cfg) + run_scalar_empirical_suite(cfg, baseline)
-    return _finish(args, reports, cfg.meta(("seed",)))
-
-
-def cmd_maximal_suite(args) -> int:
-    cfg = _config_from_args(args)
-    baseline = _resolve_baseline(args.baseline)
-    reports = run_maximal_suite(cfg, baseline)
-    return _finish(args, reports, cfg.meta(("seed", "points", "length", "window_shape")))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tlmkit",
@@ -323,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every suite against the baseline")
     _add_options(p, "--grid-points", "--grid-length", "--jmax", "--seed", "--windows",
                  "--baseline", "--out")
-    p.set_defaults(func=cmd_verify_all)
+    p.set_defaults(func=cmd_suite, suite=verify_all, meta=None)
 
     p = sub.add_parser("calibrate", help="measure empirical constants on the seeded corpus")
     _add_options(p, "--grid-points", "--grid-length", "--jmax", "--seed", "--windows")
@@ -366,12 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scalar-suite", help="exact and empirical scalar inequalities")
     _add_options(p, "--seed", "--baseline", "--out")
-    p.set_defaults(func=cmd_scalar_suite)
+    p.set_defaults(func=cmd_suite, meta=("seed",), suite=lambda cfg, baseline:
+                   run_scalar_exact_suite(cfg) + run_scalar_empirical_suite(cfg, baseline))
 
     p = sub.add_parser("maximal-suite", help="window maximal operator checks")
     _add_options(p, "--grid-points", "--grid-length", "--seed", "--windows",
                  "--baseline", "--out")
-    p.set_defaults(func=cmd_maximal_suite)
+    p.set_defaults(func=cmd_suite, suite=run_maximal_suite,
+                   meta=("seed", "points", "length", "window_shape"))
 
     return parser
 
@@ -380,16 +370,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out:  # every command takes --out
+        if args.out is not None:  # every command takes --out
             _check_out(args.out)
         return args.func(args)
     except (ParameterError, BandCoverageError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, json.JSONDecodeError) as exc:
+    except (BaselineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

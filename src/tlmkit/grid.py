@@ -223,19 +223,19 @@ class GridFunction:
     def modulus(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
+    def _combine(self, other: "GridFunction", op) -> "GridFunction":
+        """op of the samples, and of the spectra when both operands have one."""
         _check_same_spec(self, other)
         spectrum = None
         if self.spectrum is not None and other.spectrum is not None:
-            spectrum = self.spectrum + other.spectrum
-        return GridFunction(self.spec, self.values + other.values, spectrum)
+            spectrum = op(self.spectrum, other.spectrum)
+        return GridFunction(self.spec, op(self.values, other.values), spectrum)
+
+    def __add__(self, other: "GridFunction") -> "GridFunction":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_spec(self, other)
-        spectrum = None
-        if self.spectrum is not None and other.spectrum is not None:
-            spectrum = self.spectrum - other.spectrum
-        return GridFunction(self.spec, self.values - other.values, spectrum)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "GridFunction":
         spectrum = None if self.spectrum is None else self.spectrum * scalar
@@ -418,13 +418,11 @@ def read_csv(path, spec: GridSpec) -> GridFunction:
 
 
 def _csv_samples(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The samples complex(re) + 1j*complex(im), bit for bit: 1j*im is
-    (0*im - 0, 0 + im), so for finite im the real part gains a zero of im's
-    sign and an imaginary -0.0 becomes 0.0.  A non-finite part stays
-    non-finite, so the finiteness check refuses the same files."""
+    """The samples re + i*im, each part exactly as read, as read_binary
+    keeps each stored pair."""
     values = np.empty(re.shape, dtype=np.complex128)
-    values.real = re + np.copysign(0.0, im)
-    values.imag = im + 0.0
+    values.real = re
+    values.imag = im
     return values
 
 

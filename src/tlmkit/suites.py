@@ -19,9 +19,9 @@ yields margin ratios of exactly 1.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +117,7 @@ MONOTONE_SLACK = 1e-14  # rounding room of its growth as radii are added
 N_SEQUENCES = 10000  # random sequences of the power-sum bound
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SuiteConfig:
     """Shared defaults for the verification suites (1-d primary grid)."""
 
@@ -134,10 +134,10 @@ class SuiteConfig:
     def sampler(self) -> WindowSampler:
         return WindowSampler.dyadic(self.spec(), self.window_shape)
 
-    def meta(self, fields=("seed", "points", "length", "j_max", "n_functions",
-                           "window_shape")) -> dict:
+    def meta(self, names=None) -> dict:
         """The named fields, by default all of them, as a report's config."""
-        return {name: getattr(self, name) for name in fields}
+        names = names or [field.name for field in dataclasses.fields(self)]
+        return {name: getattr(self, name) for name in names}
 
 
 # endpoint tuples (p, q, r, s) pairs with matching p/q ratios

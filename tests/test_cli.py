@@ -90,6 +90,21 @@ def test_bad_out_is_refused_before_any_work(capsys, tmp_path, argv, target):
     assert repr(str(out)) in err
 
 
+@pytest.mark.parametrize("argv", [["verify-all"], ["tlm-norm"] + SMALL, ["calibrate", "--force"]],
+                         ids=lambda argv: argv[0])
+def test_empty_out_is_refused_before_any_work(capsys, monkeypatch, argv):
+    # an empty --out names no file: exit 3 at once, like any other unwritable --out
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before refusing the empty --out")
+    for name in ("verify_all", "tlm_norm", "calibrate_constants"):
+        monkeypatch.setattr(f"tlmkit.cli.{name}", no_work)
+    code, stdout, err = run(argv + ["--out", ""], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("''")
+
+
 def test_binary_and_csv_input_agree(capsys, tmp_path):
     spec = GridSpec(1, 64, 2.0 * np.pi)
     f = random_bandlimited(spec, 3, seed=99)
