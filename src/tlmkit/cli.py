@@ -12,6 +12,7 @@ naming its file).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import os
 import sys
@@ -19,9 +20,9 @@ import sys
 from . import __version__
 from .errors import BandCoverageError, BaselineError, ParameterError, QuadratureError
 from .grid import GridFunction, GridSpec, random_bandlimited, read_binary, read_csv
-from .interp import build_analytic_family, make_setup
-from .lpaley import build_family, top_band
-from .morrey import LebesguePair, WindowSampler, morrey_norm
+from .interp import FAMILY_KINDS, build_analytic_family, make_setup
+from .lpaley import FLAVORS, build_family, top_band
+from .morrey import WINDOW_SHAPES, LebesguePair, WindowSampler, morrey_norm
 from .report import BaselineStore, report_payload, write_json
 from .spaces import (
     SpaceParams,
@@ -30,6 +31,7 @@ from .spaces import (
     tlm_norm,
 )
 from .suites import (
+    HOLDER_SETUPS,
     SuiteConfig,
     anchor_report,
     calibrate_constants,
@@ -74,11 +76,11 @@ _OPTIONS = {
     "--grid-length": dict(type=float, default=SuiteConfig.length,
                           help="torus side length (default 2*pi)"),
     "--jmax": dict(type=int, default=None,
-                   help="top dyadic band (default 6, or for the field commands the "
-                        "largest band their grid admits if that is smaller)"),
+                   help="top dyadic band (default 6, or the largest band the grid "
+                        "admits if that is smaller)"),
     "--seed": dict(type=_parse_seed, default=SuiteConfig.seed,
                    help="corpus seed (non-negative)"),
-    "--windows": dict(choices=("cube", "ball"), default=SuiteConfig.window_shape,
+    "--windows": dict(choices=WINDOW_SHAPES, default=SuiteConfig.window_shape,
                       help="window shape for Morrey sups (default %(default)s)"),
     "--radii": dict(type=_radii_list, default=None,
                     help="comma separated window radii (default dyadic)"),
@@ -109,20 +111,21 @@ def _spec_from_args(args) -> GridSpec:
 def _sampler_from_args(args, spec: GridSpec) -> WindowSampler:
     if args.radii is None:
         return WindowSampler.dyadic(spec, args.windows)
-    sampler = WindowSampler(args.radii, args.windows)
-    sampler.validate_against(spec)
-    return sampler
+    return WindowSampler(args.radii, args.windows)
 
 
 _CONFIG_FLAGS = {"seed": "seed", "points": "grid_points", "length": "grid_length",
-                 "j_max": "jmax", "window_shape": "windows"}
+                 "window_shape": "windows"}
 
 
 def _config_from_args(args) -> SuiteConfig:
-    """The suite config from the command's flags; the others, and an unset
-    --jmax, keep their defaults."""
-    return SuiteConfig(**{field: getattr(args, flag) for field, flag in _CONFIG_FLAGS.items()
-                          if getattr(args, flag, None) is not None})
+    """The suite config from the command's flags, the others keeping their
+    defaults; a command that takes --jmax gets _band_count's on its grid."""
+    cfg = SuiteConfig(**{field: getattr(args, flag) for field, flag in _CONFIG_FLAGS.items()
+                         if getattr(args, flag, None) is not None})
+    if "jmax" not in vars(args):
+        return cfg
+    return dataclasses.replace(cfg, j_max=_band_count(args, cfg.spec()))
 
 
 def _band_count(args, spec: GridSpec) -> int:
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tlm-norm", help="smoothness-space norm of a sampled function")
     _add_options(p, *_FIELD_OPTIONS, "-p", "-q", "-r", "-s", "--out")
-    p.add_argument("--flavor", choices=("plain", "square_root"), default="plain")
+    p.add_argument("--flavor", choices=FLAVORS, default="plain")
     p.set_defaults(func=cmd_tlm_norm)
 
     p = sub.add_parser("diamond-check", help="vanishing-tail criterion for a function")
@@ -339,17 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp-demo", help="analytic family diagnostics on one function")
     _add_options(p, *_FIELD_OPTIONS, "--out")
-    p.add_argument("--kind", choices=("exponent-shift", "four-exponent"),
-                   default="exponent-shift")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--p0", type=float, default=8.0)
-    p.add_argument("--q0", type=float, default=4.0)
-    p.add_argument("--r0", type=float, default=2.0)
-    p.add_argument("--s0", type=float, default=0.0)
-    p.add_argument("--p1", type=float, default=4.0)
-    p.add_argument("--q1", type=float, default=2.0)
-    p.add_argument("--r1", type=float, default=2.0)
-    p.add_argument("--s1", type=float, default=0.0)
+    p.add_argument("--kind", choices=FAMILY_KINDS, default="exponent-shift")
+    theta, *ends = HOLDER_SETUPS[0]
+    p.add_argument("--theta", type=float, default=theta)
+    for i, end in enumerate(ends):
+        for name, value in zip("pqrs", end):
+            p.add_argument(f"--{name}{i}", type=float, default=value)
     p.set_defaults(func=cmd_interp_demo)
 
     p = sub.add_parser("scalar-suite", help="exact and empirical scalar inequalities")

@@ -192,7 +192,6 @@ class AnalyticFamily:
     lp_family: LPFamily
     base: GridFunction
     bands: tuple  # one _Band per block phi_nu(D) base
-    base_norm: float  # norm of the stored base (1 after pre-scaling)
 
 
 def _band(kind: str, setup: InterpSetup, nu: int, block: np.ndarray,
@@ -226,19 +225,14 @@ def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
             "exponent-shift families need the square-root multiplier flavor"
         )
     scale = tlm_norm(f, lp_family, setup.mid, sampler)
-    if scale > 0.0:
-        base = f * (1.0 / scale)
-        base_norm = 1.0
-    else:
-        base = f
-        base_norm = 0.0
+    base = f * (1.0 / scale) if scale > 0.0 else f
     blocks = project_all(lp_family, base)
     mid = setup.mid
     moduli, e = _block_moduli(lp_family, base, blocks)
     weighted = _weigh(moduli, mid.s, e)
     bands = tuple(_band(kind, setup, nu, b, _lr_aggregate(weighted[:nu + 1], mid.r))
                   for nu, b in enumerate(blocks))
-    return AnalyticFamily(kind, setup, lp_family, base, bands, base_norm)
+    return AnalyticFamily(kind, setup, lp_family, base, bands)
 
 
 def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:
@@ -370,13 +364,10 @@ def global_growth_check(fam: AnalyticFamily, z_samples,
                         sampler: WindowSampler) -> list:
     """proxy-sum-norm(G(z)) / (1+|z|) at each sample z, normalized.
 
-    The normalizer is ||f||^(p/p_0) + ||f||^(p/p_1) (2 after pre-scaling).
+    The normalizer is ||f||^(p/p_0) + ||f||^(p/p_1) (2 after pre-scaling, 0 for f = 0).
     """
     setup = fam.setup
-    denom = (
-        fam.base_norm ** (setup.mid.p / setup.end0.p)
-        + fam.base_norm ** (setup.mid.p / setup.end1.p)
-    )
+    denom = 2.0 if np.any(fam.base.values) else 0.0
     values = []
     for z in z_samples:
         g = family_G(fam, z)

@@ -59,14 +59,14 @@ def _maximal_array(modulus: np.ndarray, spec: GridSpec,
     # FFT convolution); averages are 1-homogeneous, so rescale exactly
     e = _rescale_exponent(float(modulus.max()), 1.0, float(modulus.size) ** 2)
     if e:
-        return np.ldexp(_maximal_array(np.ldexp(modulus, -e), spec, sampler), e)
+        modulus = np.ldexp(modulus, -e)
     best = modulus.copy()  # the single-point window
     plan = _window_plan(spec, modulus, sampler.window_shape)
     for radius in sampler.radii:
         count = window_count(spec, sampler.window_shape, radius)
         avg = window_sum(spec, modulus, sampler.window_shape, radius, plan=plan) / count
         np.maximum(best, avg, out=best)
-    return best
+    return np.ldexp(best, e) if e else best
 
 
 def hl_maximal(f: GridFunction, sampler: WindowSampler) -> GridFunction:
@@ -137,6 +137,7 @@ def multiplier_maximal_ratio(f: GridFunction, family: LPFamily,
     # 0-homogeneous: rescale samples whose transforms would leave float64
     e = _rescale_exponent(peak, 1.0, f.spec.size)
     if e:
-        return multiplier_maximal_ratio(_ldexp(f, -e), family, sampler)
+        f = _ldexp(f, -e)
+        modulus = f.modulus()
     maximal = _maximal_array(modulus, f.spec, sampler)
     return float(np.max(np.abs(project_all(family, f)) / maximal))

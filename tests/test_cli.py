@@ -9,6 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tlmkit.report
 from tlmkit import BaselineStore, GridSpec, SuiteConfig, random_bandlimited, write_binary, write_csv
 from tlmkit.cli import build_parser, main
+from tlmkit.interp import FAMILY_KINDS
+from tlmkit.lpaley import FLAVORS
+from tlmkit.morrey import WINDOW_SHAPES
+from tlmkit.suites import HOLDER_SETUPS
 from conftest import spike_field
 
 GRID64 = ["--grid-points", "64"]  # morrey-norm reads no band count
@@ -435,8 +439,8 @@ def test_morrey_norm_demo_keeps_given_radii_on_a_short_torus(capsys):
 
 
 @pytest.mark.parametrize("argv, top", [
-    (["verify-all", "--grid-points", "32"], 3),
-    (["calibrate", "--grid-points", "64"], 4),
+    (["verify-all", "--grid-points", "32", "--jmax", "6"], 3),
+    (["calibrate", "--grid-points", "64", "--jmax", "6"], 4),
     (["tlm-norm", "--jmax", "7"], 6),
 ], ids=["verify-all-32", "calibrate-64", "tlm-norm-jmax-7"])
 def test_band_count_above_the_grid_names_the_flags(capsys, tmp_path, argv, top):
@@ -537,6 +541,49 @@ def test_parser_defaults_are_the_suite_config(command):
                         ("length", "grid_length"), ("window_shape", "windows")):
         if hasattr(args, flag):
             assert getattr(args, flag) == getattr(cfg, field), flag
+
+
+def _subparser(command):
+    (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+    return commands.choices[command]
+
+
+def test_interp_demo_defaults_are_the_first_holder_setup():
+    args = build_parser().parse_args(["interp-demo"])
+    theta, end0, end1 = HOLDER_SETUPS[0]
+    assert args.theta == theta
+    assert (args.p0, args.q0, args.r0, args.s0) == end0
+    assert (args.p1, args.q1, args.r1, args.s1) == end1
+
+
+@pytest.mark.parametrize("command, dest, owner", [
+    ("interp-demo", "kind", FAMILY_KINDS),
+    ("tlm-norm", "flavor", FLAVORS),
+    *((command, "windows", WINDOW_SHAPES)
+      for command in ("verify-all", "calibrate", "maximal-suite", "morrey-norm",
+                      "tlm-norm", "diamond-check", "interp-demo")),
+])
+def test_choice_lists_are_their_owners(command, dest, owner):
+    (action,) = (a for a in _subparser(command)._actions if a.dest == dest)
+    assert tuple(action.choices) == owner
+
+
+@pytest.mark.parametrize("command", ["morrey-norm", "tlm-norm", "diamond-check",
+                                     "interp-demo"])
+def test_radii_beyond_half_the_torus_exit_2(capsys, command):
+    # L/2 = pi: the scans refuse the radius 4, naming it
+    code, out, err = run([command, "--radii", "0.5,4"] + GRID64, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: max radius 4 exceeds L/2 = {np.pi:g}\n"
+
+
+def test_verify_all_band_count_follows_the_grid(capsys, tmp_path):
+    # 2**(6+1) exceeds the Nyquist band 64 of 128 points, so --jmax defaults to 5
+    out_path = tmp_path / "verify.json"
+    code, out, err = run(["verify-all", "--grid-points", "128", "--out", str(out_path)],
+                         capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out_path.read_text())["config"]["j_max"] == 5
 
 
 def test_version_flag(capsys):

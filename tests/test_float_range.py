@@ -3,18 +3,23 @@
 For any finite field, whatever the binary exponent of its samples, each
 norm, square function, maximal function and criterion returns a finite
 value or raises ParameterError naming the overflow, and never emits a
-warning.  The sweep runs on a 1-D, a 2-D and a 3-D grid.  The same holds
-for Psi_kappa and its tail bound at any positive float argument.
+warning; a power-of-two scaling moves lp_norm by exactly that power and
+leaves multiplier_maximal_ratio bit for bit.  The sweep runs on a 1-D, a
+2-D and a 3-D grid.  The same holds for Psi_kappa and its tail bound at
+any positive float argument.
 """
 
+import math
 import warnings
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import tlmkit as tk
 from tlmkit.errors import BandCoverageError, ParameterError
+from tlmkit.grid import _ldexp
 from tlmkit.spaces import COVERAGE_TOL, _tlm_norms, coverage_defect
 
 # grid -> (dim, points, top band of the family, band of the smooth field); each
@@ -92,6 +97,25 @@ def test_entry_points_finite_or_parameter_error(grid, kind, mantissa, k):
                 assert uncovered and name.startswith(BAND_ENTRY_POINTS), name
                 continue
         assert np.isfinite(value), (name, value)
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_power_of_two_scaling_keeps_every_bit(grid, real, k):
+    # a field whose peak lies in [1/2, 1) is what each kernel scales a field
+    # 2^k times larger down to, so the norm moves by exactly 2^k and the
+    # 0-homogeneous ratio not at all
+    spec, family, samplers, _ = _grid(grid)
+    band = GRIDS[grid][3]
+    f = tk.random_bandlimited(spec, band, 7, real_output=real)
+    f = _ldexp(f, -math.frexp(float(f.modulus().max()))[1])
+    scaled = _ldexp(f, k)
+    for p in (1.5, 2.0, 3.0):
+        assert tk.lp_norm(scaled, p) == math.ldexp(tk.lp_norm(f, p), k), p
+    cube = samplers["cube"]
+    assert tk.multiplier_maximal_ratio(scaled, family, cube) \
+        == tk.multiplier_maximal_ratio(f, family, cube)
 
 
 # the (kappa, r) pairs of the scalar suites, and a cutoff for the tail bound

@@ -102,6 +102,20 @@ def test_binary_round_trip(tmp_path, spec256):
     assert np.array_equal(g.values, f.values)
 
 
+@pytest.mark.parametrize("real_output", [True, False])
+def test_read_binary_samples_are_their_own_read_only_array(tmp_path, spec64, real_output):
+    f = tk.random_bandlimited(spec64, 3, 5, real_output=real_output)
+    tk.write_binary(f, tmp_path / "f.bin")
+    values = tk.read_binary(tmp_path / "f.bin").values
+    assert values.dtype == f.values.dtype
+    assert np.array_equal(values.view(np.uint64), f.values.view(np.uint64))
+    assert not values.flags.writeable
+    # the chain of views ends in an array that owns its memory, not the file's bytes
+    while isinstance(values.base, np.ndarray):
+        values = values.base
+    assert values.base is None
+
+
 def test_writers_replace_an_existing_file(tmp_path, spec64, spec256):
     """Writing over a file makes a new file: a hard link to the old one keeps
     the old samples, a shorter write leaves no tail, and a symlink is

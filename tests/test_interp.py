@@ -134,12 +134,13 @@ def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeyp
         assert np.array_equal(band.at0, at0) and np.array_equal(band.slope, at1 - at0), nu
 
 
-def test_midpoint_identity(built_family):
+def test_midpoint_identity(built_family, sampler256):
     setup = built_family.setup
     mid = family_F(built_family, setup.theta)
     err = np.linalg.norm((mid - built_family.base).values)
     assert err <= 1e-12 * np.linalg.norm(built_family.base.values)
-    assert built_family.base_norm == pytest.approx(1.0, rel=1e-12)
+    norm = tk.tlm_norm(built_family.base, built_family.lp_family, setup.mid, sampler256)
+    assert norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_anchor_and_segment_additivity(built_family):
@@ -316,3 +317,11 @@ def test_global_growth_normalization(built_family, sampler256):
     rep = growth_report(built_family, zs, sampler256, None)
     assert rep.verdict == "not-decided"
     assert rep.empirical_constant == max(values)
+
+
+@pytest.mark.parametrize("kind", interp.FAMILY_KINDS)
+def test_global_growth_of_the_zero_function_is_1(spec256, family_sqrt, sampler256, kind):
+    # G vanishes and so does the normalizer: the vacuous 0/0 bound reads 1
+    zero = tk.GridFunction(spec256, np.zeros(spec256.shape))
+    fam = tk.build_analytic_family(kind, collapse_setup(), zero, family_sqrt, sampler256)
+    assert tk.global_growth_check(fam, [0.2 + 0.5j, 0.8 - 1.5j], sampler256) == [1.0, 1.0]

@@ -266,19 +266,18 @@ def test_exp_log_bound_matches_mpmath(h, eps):
 
 
 def test_log_damping_series_matches_direct():
-    # the series holds a few ulps below _SERIES_CUT; above it the direct
-    # exprel(w) - 1 loses about 1e-16/|w| to cancellation
+    # the series below _SERIES_CUT and the direct exprel(w) - 1 above it
+    # both hold a few ulps, the cut's neighbourhood on either side included
     h = 0.3 - 0.4j
-    for w_abs, tol in ((np.array([1e-6, 1.01e-4, 2e-4, 1e-3, 5e-3, 9e-3, 0.99e-2]), 1e-15),
-                       (np.array([1.01e-2, 2e-2, 0.1, 1.0]), 1e-13)):
-        t = np.exp(-w_abs / abs(h))
-        got = _exp_log_modulus(h, t)
-        with mpmath.workdps(40):
-            for ti, value in zip(t, got):
-                w = mpmath.mpc(h) * mpmath.log(mpmath.mpf(ti))
-                ref = abs(mpmath.expm1(w) / w - 1)
-                assert abs(value - ref) <= tol * ref, ti
-    assert 9e-3 < _SERIES_CUT < 1.01e-2
+    w_abs = np.concatenate([np.geomspace(1e-6, 4.2, 200),
+                            _SERIES_CUT * np.array([0.99, 0.999, 1.001, 1.01])])
+    t = np.exp(-w_abs / abs(h))
+    got = _exp_log_modulus(h, t)
+    with mpmath.workdps(40):
+        for ti, value in zip(t, got):
+            w = mpmath.mpc(h) * mpmath.log(mpmath.mpf(ti))
+            ref = abs(mpmath.expm1(w) / w - 1)
+            assert abs(value - ref) <= 1e-15 * ref, ti
 
 
 def test_exp_log_bound_requires_margin():
