@@ -13,6 +13,22 @@ phi_j(D) phi_j(D).
 
 phi_j is supported in the annulus {2**j <= |xi| <= 3 * 2**j}; families two
 or more bands apart have disjoint supports (3 * 2**j < 2**(j+2)).
+
+A band's inverse transform on a 2-D or 3-D grid skips what is exactly
+zero (FFT pruning, Markel 1971).  It runs numpy's own 1-D passes in
+numpy's order: irfftn takes ifft along the first axes in turn and irfft
+along the last, ifftn takes the last axis first.  Each pass transforms
+only the lines whose not yet transformed coordinates lie in the band's
+support box, the axis projections of the nonzeros of multiplier times
+spectrum; every other line is still zero, and so is its transform.  A
+band whose product is zero everywhere is not transformed at all.  numpy
+transforms each line on its own, with the same length and scale, so a
+transformed line gets the bits it gets inside irfftn or ifftn.  A skipped
+line keeps the product's zeros where the full transform writes zeros of
+its own, perhaps of the other sign; the sign of a zero input reaches only
+outputs that are themselves zero.  So the blocks are np.array_equal to
+numpy's full transforms and their moduli keep every bit.  A 1-D band is
+a single line, so a 1-D stack keeps one batched transform.
 """
 
 from __future__ import annotations
@@ -116,30 +132,79 @@ def build_family(
     return LPFamily(spec, flavor, sharpness, j_max, tuple(mults))
 
 
+def _support_lines(spectrum: np.ndarray, axis: int):
+    """For each axis of ``spectrum`` but ``axis``, the indices at which some
+    nonzero lies: the axis projections of its support box.  None if the
+    spectrum is zero everywhere."""
+    # a complex != runs several times slower than one on the float64 parts,
+    # which interleave along the last axis
+    live = spectrum.view(np.float64) != 0
+    plane = live.any(axis=axis)
+    if axis != spectrum.ndim - 1:
+        plane = plane.reshape(plane.shape[:-1] + (-1, 2)).any(axis=-1)
+    if not plane.any():
+        return None
+    others = [a for a in range(spectrum.ndim) if a != axis]
+    rest = tuple(range(plane.ndim))
+    return {a: np.flatnonzero(plane.any(axis=rest[:k] + rest[k + 1:]))
+            for k, a in enumerate(others)}
+
+
+def _ifft_lines(spectrum: np.ndarray, axis: int, lines: dict) -> None:
+    """In place, the unitary inverse DFT along ``axis`` of the lines of
+    ``spectrum`` whose index on each axis a of ``lines`` is among lines[a];
+    every other line is zero and stays as it is."""
+    picked = sorted(a for a, idx in lines.items() if len(idx) < spectrum.shape[a])
+    if not picked:
+        np.fft.ifft(spectrum, axis=axis, norm="ortho", out=spectrum)
+        return
+    index = [slice(None)] * spectrum.ndim
+    for k, a in enumerate(picked):  # an open mesh of the picked indices
+        index[a] = lines[a].reshape((-1,) + (1,) * (len(picked) - 1 - k))
+    index = tuple(index)
+    spectrum[index] = np.fft.ifft(spectrum[index], axis=axis, norm="ortho")
+
+
 def _band_stack(f: GridFunction, mults) -> np.ndarray:
     """The stack m(D) f for the multipliers m of ``mults``, from f's
-    spectrum (f.coeffs()): one multiply per band into a preallocated stack
-    and one batched inverse DFT.
+    spectrum (f.coeffs()).
 
     Every multiplier is radial, so a real field (float64 samples) has real
     blocks: it is multiplied on the half spectrum (the last axis cut to
-    N//2 + 1) and the stack comes back real from irfftn.  A complex field
-    keeps the full complex ifftn, written back into its stack (the ``out=``
-    argument of numpy.fft needs numpy 2.0).
+    N//2 + 1) and comes back real from the inverse real DFT.  A complex
+    field takes the full complex inverse DFT.  A 1-D stack is one batched
+    transform; on 2-D and 3-D grids each band skips the lines outside its
+    support box (see the module docstring).
     """
     shape = f.spec.shape
-    axes = tuple(range(1, f.spec.dim + 1))
+    real = not np.iscomplexobj(f.values)
     coeffs = f.coeffs()
-    if np.iscomplexobj(f.values):
-        stack = np.empty((len(mults),) + shape, dtype=np.complex128)
-        for band, mult in zip(stack, mults):
-            np.multiply(mult, coeffs, out=band)
-        return np.fft.ifftn(stack, axes=axes, norm="ortho", out=stack)
-    half = shape[-1] // 2 + 1
-    spectra = np.empty((len(mults),) + shape[:-1] + (half,), dtype=np.complex128)
-    for band, mult in zip(spectra, mults):
-        np.multiply(mult[..., :half], coeffs[..., :half], out=band)
-    return np.fft.irfftn(spectra, s=shape, axes=axes, norm="ortho")
+    if real:
+        coeffs = coeffs[..., :shape[-1] // 2 + 1]
+    width = coeffs.shape[-1]
+
+    def last_pass(spectra, out):
+        if real:
+            return np.fft.irfft(spectra, n=shape[-1], axis=-1, norm="ortho", out=out)
+        return np.fft.ifft(spectra, axis=-f.spec.dim, norm="ortho", out=out)
+
+    if f.spec.dim == 1:
+        spectra = np.empty((len(mults),) + coeffs.shape, dtype=np.complex128)
+        for spectrum, mult in zip(spectra, mults):
+            np.multiply(mult[..., :width], coeffs, out=spectrum)
+        return last_pass(spectra, None if real else spectra)
+    order = list(range(f.spec.dim)) if real else list(reversed(range(f.spec.dim)))
+    stack = np.zeros((len(mults),) + shape, dtype=np.float64 if real else np.complex128)
+    spectrum = np.empty(coeffs.shape, dtype=np.complex128)
+    for band, mult in zip(stack, mults):
+        np.multiply(mult[..., :width], coeffs, out=spectrum)
+        lines = _support_lines(spectrum, order[0])
+        if lines is None:
+            continue
+        for k, axis in enumerate(order[:-1]):
+            _ifft_lines(spectrum, axis, {a: lines[a] for a in order[k + 1:]})
+        last_pass(spectrum, band)
+    return stack
 
 
 def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:

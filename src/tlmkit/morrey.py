@@ -65,6 +65,23 @@ have raised it, so every norm keeps the bits of the unpruned scan.  A
 scanned row's peak is positive, so some radius is always scanned, and a
 scan builds its plan before the radius loop.
 
+Nested rows, such as the tails T_J of a truncated square function, bound
+one another: T_{J+1} sums one nonnegative band fewer than T_J, so
+T_{J+1} <= T_J point by point and no window of T_{J+1}^q holds more than
+the same window of T_J^q (branch and bound with a tighter bound).  A
+nested scan carries from each block to the next the last row's g and, per
+radius, a cap on that g's exact peak window sum: min(sum g, count(R) max g)
+and, at a scanned radius, the computed peak plus pad, since no rounding of
+a window sum exceeds the pad.  A row of the next
+block whose g is at most the carried g at every point takes the smaller of
+its own cap and the carried one.  Its exact window sums are at most the
+carried g's, so its computed peak is at most the carried cap plus its own
+pad, which is the bound above with that cap.  The comparison runs on the
+very arrays that are summed, because rounding can lift a computed tail a
+few ulps above the one before it; such a row is not chained.  So a chained
+scan, too, skips only radii that could not have raised a norm, and every
+norm keeps its bits.
+
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
 L^p norm up to pure summation rounding.
@@ -296,23 +313,44 @@ def _shared_spec(fs: list) -> GridSpec:
     return fs[0].spec
 
 
-def _lr_aggregate(stack, r: float) -> np.ndarray:
-    """Pointwise l^r norm across a nonempty stack of same-shape arrays (a
-    list, or an array whose rows they are); r = inf takes the pointwise max.
+def _lr_suffixes(stack, r: float, count: int = None) -> list:
+    """Pointwise l^r norms across the rows stack[j:] of a nonempty stack of
+    same-shape arrays (a list, or an array whose rows they are), for
+    j = 0 .. count - 1 (every row by default); r = inf takes the pointwise
+    max.  Each row's r-th power is taken once and every suffix sums the
+    stored powers down axis 0, so it has the bits of a stack of its own.  A
+    suffix whose powers would leave float64 is scaled down by an exact power
+    of two, aggregated and scaled back.
     Every bare r in the package meets its one check of 1 < r <= inf here."""
     if not 1.0 < r <= np.inf:
         raise ParameterError(f"need 1 < r <= inf, got r={r}")
     arr = np.asarray(stack)
+    count = len(arr) if count is None else count
     if np.isinf(r):
-        return arr.max(axis=0)
-    e = _rescale_exponent(float(arr.max()), r, len(arr))
-    if e:
-        return _ldexp_back(_lr_aggregate(np.ldexp(arr, -e), r), e, f"an l^{r:g} aggregate")
-    return (arr**r).sum(axis=0) ** (1.0 / r)
+        return [arr[j:].max(axis=0) for j in range(count)]
+    peaks = arr.reshape(len(arr), -1).max(axis=1).tolist()
+    aggs = []
+    powers = first = None
+    for j in range(count):
+        e = _rescale_exponent(max(peaks[j:]), r, len(arr) - j)
+        if e:
+            agg = (np.ldexp(arr[j:], -e) ** r).sum(axis=0) ** (1.0 / r)
+            aggs.append(_ldexp_back(agg, e, f"an l^{r:g} aggregate"))
+            continue
+        if powers is None:  # no later suffix needs the rows before this one
+            powers, first = arr[j:] ** r, j
+        aggs.append(powers[j - first:].sum(axis=0) ** (1.0 / r))
+    return aggs
+
+
+def _lr_aggregate(stack, r: float) -> np.ndarray:
+    """Pointwise l^r norm across a nonempty stack of same-shape arrays: the
+    first of _lr_suffixes."""
+    return _lr_suffixes(stack, r, 1)[0]
 
 
 def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
-                  sampler: WindowSampler) -> list:
+                  sampler: WindowSampler, *, nested: bool = False) -> list:
     """Morrey norm of each nonnegative array of ``rows`` (on spec.shape), in
     order.
 
@@ -320,13 +358,17 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
     scanned one window sum per radius per block.  A row whose maximum is 0
     gets the norm 0.0 and is not scanned.  A row whose q-th powers would
     leave float64 is scaled by an exact power of two in its block, and its
-    norm is scaled back.
+    norm is scaled back.  ``nested`` says that each row is at most the one
+    before it, as the tails T_J of a truncated square function are: each
+    block is then also bounded by the last row scanned before it (the
+    chained bound of the module docstring).  The norms keep their bits.
     """
     sampler.validate_against(spec)
     peaks = [float(row.max()) for row in rows]
     live = [i for i, peak in enumerate(peaks) if peak != 0.0]
     per_block = max(1, _ROW_BLOCK_ELEMENTS // spec.size)
     norms = [0.0] * len(rows)
+    above = None
     for lo in range(0, len(live), per_block):
         block = live[lo:lo + per_block]
         if len(block) == 1:
@@ -339,23 +381,31 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
         if any(block_exps):
             shifts = -np.array(block_exps).reshape((-1,) + (1,) * spec.dim)
             stack = np.ldexp(stack, shifts)
-        for i, e, value in zip(block, block_exps, _scan_stack(stack, spec, pq, sampler)):
+        values, last = _scan_stack(stack, spec, pq, sampler, above)
+        for i, e, value in zip(block, block_exps, values):
             norms[i] = float(_ldexp_back(value, e, "a Morrey norm")) if e else value
+        if nested:
+            above = last
     return norms
 
 
 def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
-                sampler: WindowSampler) -> list:
-    """Morrey norm of each row of ``stack``, whose q-th powers stay in float64.
+                sampler: WindowSampler, above=None) -> tuple:
+    """(the Morrey norm of each row of ``stack``, whose q-th powers stay in
+    float64; what bounds a later block: the last row's g = row^q and, per
+    radius of the sampler, a cap on that g's exact peak window sum).
 
     Branch and bound over the radii (see the module docstring): a row's
-    value at R is at most value(vol(R), min(sum g, count(R) max g) + pad)
-    times 1 + 1e-9, with pad = 8 size eps sum g above the rounding of
-    either kind of window sum.  Radii run from the block's largest bound
-    down, and one is skipped when every row's bound is at most that row's
-    best value so far.  A skipped value could not have raised the max, and
-    a max of floats does not depend on order, so each row keeps the bits
-    of the unpruned scan.
+    value at R is at most value(vol(R), cap + pad) times 1 + 1e-9, where
+    cap = min(sum g, count(R) max g) caps the exact peak window sum and
+    pad = 8 size eps sum g lies above the rounding of either kind of window
+    sum.  ``above``, the second item of an earlier scan, also caps each row
+    whose g is at most that scan's last g everywhere, by that g's cap.  A
+    scanned radius caps the last row by its computed peak plus its pad.
+    Radii run from the block's largest bound down, and one is skipped when
+    every row's bound is at most that row's best value so far.  A skipped
+    value could not have raised the max, and a max of floats does not
+    depend on order, so each row keeps the bits of the unpruned scan.
     """
     g = stack**pq.q
     hn = spec.cell_volume
@@ -369,23 +419,29 @@ def _scan_stack(stack: np.ndarray, spec: GridSpec, pq: LebesguePair,
     totals = flat.sum(axis=1).tolist()
     tops = flat.max(axis=1).tolist()
     pad = 8.0 * spec.size * np.finfo(np.float64).eps
+    # which rows the earlier scan's last g dominates, point by point
+    under = [above is not None and bool(np.all(row <= above[0])) for row in g]
     order = []
-    for radius in sampler.radii:
+    last_caps = []
+    for k, radius in enumerate(sampler.radii):
         count = window_count(spec, sampler.window_shape, radius)
         vol = window_volume(spec, sampler.window_shape, radius)
-        bounds = [value(vol, min(t, count * m) + pad * t) * (1.0 + 1e-9)
-                  for t, m in zip(totals, tops)]
-        order.append((max(bounds), radius, vol, bounds))
+        caps = [min(t, count * m, above[1][k]) if u else min(t, count * m)
+                for t, m, u in zip(totals, tops, under)]
+        bounds = [value(vol, c + pad * t) * (1.0 + 1e-9) for c, t in zip(caps, totals)]
+        order.append((max(bounds), k, vol, bounds))
+        last_caps.append(caps[-1])
     order.sort(key=lambda item: item[0], reverse=True)
     best = [0.0] * len(stack)
     plan = _window_plan(spec, g, sampler.window_shape)
-    for _, radius, vol, bounds in order:
+    for _, k, vol, bounds in order:
         if all(u <= b for u, b in zip(bounds, best)):
             continue
-        sums = window_sum(spec, g, sampler.window_shape, radius, plan=plan)
+        sums = window_sum(spec, g, sampler.window_shape, sampler.radii[k], plan=plan)
         peaks = sums.reshape(len(stack), -1).max(axis=1).tolist()
         best = [max(b, value(vol, peak)) for b, peak in zip(best, peaks)]
-    return best
+        last_caps[k] = min(last_caps[k], peaks[-1] + pad * totals[-1])
+    return best, (g[-1], last_caps)
 
 
 def morrey_norm(f: GridFunction, pq: LebesguePair, sampler: WindowSampler) -> float:

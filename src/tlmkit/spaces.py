@@ -28,7 +28,8 @@ import numpy as np
 from .errors import BandCoverageError, ParameterError
 from .grid import _MAX_EXP, _MIN_EXP, GridFunction, GridSpec, _ldexp, _rescale_exponent
 from .lpaley import LPFamily, project_all, reconstruct
-from .morrey import LebesguePair, WindowSampler, _lr_aggregate, _morrey_norms, _shared_spec
+from .morrey import (LebesguePair, WindowSampler, _lr_aggregate, _lr_suffixes, _morrey_norms,
+                     _shared_spec)
 from .report import VerificationReport, safe_ratio
 
 __all__ = [
@@ -156,17 +157,16 @@ def truncated_square_function(f: GridFunction, family: LPFamily, r: float,
 
     T_J f is the aggregate over bands j >= J, gated by the indicator of
     {cutoff <= S(f) <= 1/cutoff} evaluated on the full square function
-    S(f) = T_0 f.  The aggregates are built once and only the gate depends
-    on the cutoff.  Returns one list of tails per cutoff, in order; each
+    S(f) = T_0 f.  The aggregates are built once, from each band's r-th
+    power taken once (_lr_suffixes), and only the gate depends on the
+    cutoff.  Returns one list of tails per cutoff, in order; each
     tail is a real, nonnegative array on f's grid.  A cutoff whose gate
     equals an earlier cutoff's gets that cutoff's list itself.
     """
     for cutoff in cutoffs:
         if not 0.0 < cutoff <= 1.0:
             raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")
-    weighted = _weighted_blocks(family, f, s)
-    aggs = [_lr_aggregate(weighted[j:], r) for j in range(len(weighted))]
-    weighted = None  # only the aggregates outlive the blocks
+    aggs = _lr_suffixes(_weighted_blocks(family, f, s), r)
     full = aggs[0]
     gates = [(full >= cutoff) & (full <= 1.0 / cutoff) for cutoff in cutoffs]
     tails = []
@@ -257,7 +257,8 @@ def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
     scans = {}  # by the identity of a tail list; cutoffs with equal gates share one
     for a, cutoff_tails in zip(DIAMOND_CUTOFFS, tails):
         if id(cutoff_tails) not in scans:
-            scans[id(cutoff_tails)] = _morrey_norms(cutoff_tails, f.spec, params.pair, sampler)
+            scans[id(cutoff_tails)] = _morrey_norms(cutoff_tails, f.spec, params.pair,
+                                                    sampler, nested=True)
         norms = scans[id(cutoff_tails)]
         sequences[a] = norms
         first, last = norms[0], norms[-1]

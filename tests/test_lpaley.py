@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import tlmkit as tk
 from tlmkit.errors import ParameterError
-from tlmkit.grid import _ldexp
+from tlmkit.grid import _ldexp, _reflect_spectrum
 from tlmkit.lpaley import FLAVORS, LPFamily, smooth_step, top_band
 
 
@@ -123,6 +123,55 @@ def test_complex_fields_keep_the_full_complex_transform(grid, flavor):
         total = _partial_sum_multiplier(family, j)
         assert np.array_equal(tk.reconstruct(family, f, j).values,
                               np.fft.ifftn(total * coeffs, norm="ortho"))
+
+
+def _stack_field(spec, kind, real, seed, data):
+    """A field whose band stack skips lines or whole bands in its own way:
+    an exact band-limited spectrum (zero top bands), the same samples with no
+    spectrum (a field read from a file), a few isolated coefficients, zero."""
+    if kind in ("band-limited", "file"):
+        band = data.draw(st.integers(0, top_band(spec) - 1), label="band")
+        f = tk.random_bandlimited(spec, band, seed, real_output=real)
+        return f if kind == "band-limited" else tk.GridFunction(spec, f.values)
+    coeffs = np.zeros(spec.shape, dtype=np.complex128)
+    if kind == "isolated":
+        rng = np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(1, 4), label="nonzeros")):
+            coeffs[tuple(rng.integers(spec.points, size=spec.dim))] = complex(*rng.normal(size=2))
+        if real:  # Hermitian, so the samples are real
+            coeffs = 0.5 * (coeffs + np.conj(_reflect_spectrum(coeffs)))
+    values = np.fft.ifftn(coeffs, norm="ortho")
+    cached = data.draw(st.booleans(), label="cached")
+    return tk.GridFunction(spec, values.real if real else values,
+                           spectrum=coeffs if cached else None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=st.sampled_from([(1, 64), (1, 256), (2, 16), (2, 32), (3, 8), (3, 16)]),
+       flavor=st.sampled_from(FLAVORS), real=st.booleans(),
+       kind=st.sampled_from(["band-limited", "file", "isolated", "zero"]),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_pruned_band_stack_matches_the_full_transforms(grid, flavor, real, kind, seed, data):
+    # each band transforms only the lines of its support box, or nothing when
+    # its product is zero; numpy's full irfftn/ifftn of the same products gives
+    # the same blocks up to the sign of a zero, and moduli with the same bits
+    spec = tk.GridSpec(*grid)
+    family = tk.build_family(spec, top_band(spec), flavor)
+    f = _stack_field(spec, kind, real, seed, data)
+    coeffs = f.coeffs()
+    products = np.stack([m * coeffs for m in family.multipliers])
+    axes = tuple(range(1, spec.dim + 1))
+    if np.iscomplexobj(f.values):
+        want = np.fft.ifftn(products, axes=axes, norm="ortho")
+    else:
+        half = spec.points // 2 + 1
+        want = np.fft.irfftn(products[..., :half], s=spec.shape, axes=axes, norm="ortho")
+    got = tk.project_all(family, f)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+    j = data.draw(st.integers(0, family.j_max), label="j")
+    assert np.array_equal(tk.project(family, j, f).values, want[j])
 
 
 def test_full_reconstruction_band_limited(spec256, f_band4):

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tlmkit.grid import _rescale_exponent
 from tlmkit.morrey import _axis_half_width, _lr_aggregate, _morrey_norms, window_sum, window_volume
 from tlmkit.lpaley import top_band
 from tlmkit.maximal import vector_maximal_check
-from tlmkit.spaces import _tlm_norms
+from tlmkit.spaces import DIAMOND_CUTOFFS, _tlm_norms
 from tlmkit.suites import ORACLE_TOL, oracle_radii, unit_ball_indicator
 from conftest import brute_force_morrey
 
@@ -316,6 +317,95 @@ def test_pruned_scan_where_the_bound_is_tight(monkeypatch, shape, dim, points):
     assert _morrey_norms([spike], spec, pq, sampler) == [
         _reference_morrey_norm(spike, spec, pq, sampler)]
     assert calls == [(shape, sampler.radii[0])] and len(sampler.radii) > 1
+
+
+CHAIN_GRIDS = [(1, 64), (1, 256), (2, 16), (2, 32), (3, 8), (3, 16)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=st.sampled_from(CHAIN_GRIDS), shape=st.sampled_from(["cube", "ball"]),
+       pqrs=st.sampled_from([(4.0, 2.0, 2.0, 0.5), (3.0, 3.0, 2.5, 0.3),
+                             (6.0, 3.0, np.inf, 0.0), (200.0, 160.0, 3.0, -0.5)]),
+       scale=st.sampled_from([1.0, 2.0, 20.0, 0.05]), real=st.booleans(),
+       block_rows=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_chained_scan_equals_unpruned_scans_of_each_tail(grid, shape, pqrs, scale, real,
+                                                         block_rows, seed, data):
+    # every norm sequence of diamond_criterion, whose scans chain each tail to
+    # the one before, has the bits of an unpruned scan of each tail alone.  At
+    # q = 160 the tails' q-th powers leave float64 and rows are rescaled; the top
+    # tails of a band-limited field are zero; scale 2 keeps both cutoffs' gates
+    # equal and scale 20 does not; a block of one or two rows chains block to
+    # block on grids whose tails would otherwise share one block
+    spec = tk.GridSpec(*grid)
+    family = tk.build_family(spec, top_band(spec))
+    band = data.draw(st.integers(0, family.j_max - 1), label="band")
+    f = tk.random_bandlimited(spec, band, seed, real_output=real) * scale
+    params = tk.SpaceParams(*pqrs)
+    sampler = tk.WindowSampler.dyadic(spec, shape)
+    block = morrey._ROW_BLOCK_ELEMENTS if block_rows is None else block_rows * spec.size
+    with mock.patch.object(morrey, "_ROW_BLOCK_ELEMENTS", block), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = tk.diamond_criterion(f, family, params, sampler)
+    tails = tk.truncated_square_function(f, family, params.r, params.s, DIAMOND_CUTOFFS)
+    for a, cutoff_tails in zip(DIAMOND_CUTOFFS, tails):
+        want = [_reference_morrey_norm(t, spec, params.pair, sampler) for t in cutoff_tails]
+        assert rep.details["norm_sequences"][repr(a)] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.sampled_from(PROPERTY_GRIDS), shape=st.sampled_from(["cube", "ball"]),
+       pq=st.sampled_from([(4.0, 2.0), (3.0, 3.0), (6.0, 3.0)]),
+       steps=st.lists(st.tuples(st.sampled_from(["shrink", "fresh", "zero"]),
+                                st.sampled_from([0, 0, 600, -600]), st.integers(0, 2**16)),
+                      min_size=1, max_size=6),
+       block_rows=st.sampled_from([1, 2, 3]))
+def test_nested_scan_of_any_rows_equals_the_unpruned_scan(grid, shape, pq, steps, block_rows):
+    # a nested scan chains a row only where its q-th powers lie at or below the
+    # last scanned row's everywhere: rows that shrink the one before, rows that
+    # do not, rescaled rows and zero rows all keep the unpruned scan's bits
+    spec = tk.GridSpec(*grid)
+    pq = tk.LebesguePair(*pq)
+    sampler = tk.WindowSampler.dyadic(spec, shape)
+    rows = []
+    for kind, scale, seed in steps:
+        rng = np.random.default_rng(seed)
+        if kind == "shrink" and rows:
+            row = rows[-1] * rng.random(spec.shape)
+        else:
+            row = _row(spec, "zero" if kind == "zero" else "dense", 0, seed)
+        rows.append(np.ldexp(row, scale) if kind == "fresh" else row)
+    with mock.patch.object(morrey, "_ROW_BLOCK_ELEMENTS", block_rows * spec.size), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _morrey_norms(rows, spec, pq, sampler, nested=True)
+    assert got == [_reference_morrey_norm(row, spec, pq, sampler) for row in rows]
+
+
+@pytest.mark.parametrize("shape", ["cube", "ball"])
+def test_chained_scan_makes_at_most_half_the_window_sums(monkeypatch, shape):
+    # the tails of a band-limited 2-D field, each scanned alone (16,384 samples
+    # fill a block): chained to the tail before, at most half the (row, radius)
+    # window sums of the bound of each row alone, and the same norms
+    spec = tk.GridSpec(2, 128)
+    family = tk.build_family(spec, top_band(spec))
+    params = tk.SpaceParams(4.0, 2.0, 2.0, 0.5)
+    sampler = tk.WindowSampler.dyadic(spec, shape)
+    f = tk.random_bandlimited(spec, 4, 0)
+    tails = tk.truncated_square_function(f, family, params.r, params.s, (0.1,))[0]
+    pairs = []
+    scan_sum = morrey.window_sum
+
+    def counting_sum(spec, values, *args, **kwargs):
+        pairs.append(len(values) if values.ndim > spec.dim else 1)
+        return scan_sum(spec, values, *args, **kwargs)
+
+    monkeypatch.setattr(morrey, "window_sum", counting_sum)
+    alone = _morrey_norms(tails, spec, params.pair, sampler)
+    unchained = sum(pairs)
+    pairs.clear()
+    assert _morrey_norms(tails, spec, params.pair, sampler, nested=True) == alone
+    assert 0 < 2 * sum(pairs) <= unchained
 
 
 def test_functions_on_different_grids_raise_grid_mismatch(spec64, spec256):
