@@ -228,8 +228,9 @@ def project_all(family: LPFamily, f: GridFunction) -> np.ndarray:
 
     An array of shape (j_max + 1, *grid shape) from f's spectrum
     (f.coeffs(): the exact one when f carries it, else the DFT f computes
-    once and keeps) and one batched inverse DFT: real float64 when f is
-    real, complex otherwise (_band_stack).
+    once and keeps) through _band_stack: one batched inverse DFT on 1-D
+    grids, pruned per-band passes on 2-D and 3-D grids (see the module
+    docstring); real float64 when f is real, complex otherwise.
     Raises ParameterError if a block leaves float64.
     """
     _check_same_spec(family, f)

@@ -69,7 +69,7 @@ Nested rows, such as the tails T_J of a truncated square function, bound
 one another: T_{J+1} sums one nonnegative band fewer than T_J, so
 T_{J+1} <= T_J point by point and no window of T_{J+1}^q holds more than
 the same window of T_J^q (branch and bound with a tighter bound).  A
-nested scan carries from each block to the next the last row's g and, per
+scan carries from each block to the next the last row's g and, per
 radius, a cap on that g's exact peak window sum: min(sum g, count(R) max g)
 and, at a scanned radius, the computed peak plus pad, since no rounding of
 a window sum exceeds the pad.  A row of the next
@@ -78,9 +78,10 @@ its own cap and the carried one.  Its exact window sums are at most the
 carried g's, so its computed peak is at most the carried cap plus its own
 pad, which is the bound above with that cap.  The comparison runs on the
 very arrays that are summed, because rounding can lift a computed tail a
-few ulps above the one before it; such a row is not chained.  So a chained
-scan, too, skips only radii that could not have raised a norm, and every
-norm keeps its bits.
+few ulps above the one before it; such a row is not chained.  Every scan
+makes this comparison, so rows that do not nest, such as a corpus's, are
+simply not chained.  So a chained scan, too, skips only radii that could
+not have raised a norm, and every norm keeps its bits.
 
 With p = q the volume factor drops out and the largest cube window (side
 L) covers the torus exactly once, so the norm collapses to the discrete
@@ -350,7 +351,7 @@ def _lr_aggregate(stack, r: float) -> np.ndarray:
 
 
 def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
-                  sampler: WindowSampler, *, nested: bool = False) -> list:
+                  sampler: WindowSampler) -> list:
     """Morrey norm of each nonnegative array of ``rows`` (on spec.shape), in
     order.
 
@@ -358,10 +359,9 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
     scanned one window sum per radius per block.  A row whose maximum is 0
     gets the norm 0.0 and is not scanned.  A row whose q-th powers would
     leave float64 is scaled by an exact power of two in its block, and its
-    norm is scaled back.  ``nested`` says that each row is at most the one
-    before it, as the tails T_J of a truncated square function are: each
-    block is then also bounded by the last row scanned before it (the
-    chained bound of the module docstring).  The norms keep their bits.
+    norm is scaled back.  Each block after the first is also bounded by the
+    last row scanned before it wherever that row's q-th powers dominate
+    (the chained bound of the module docstring).  The norms keep their bits.
     """
     sampler.validate_against(spec)
     peaks = [float(row.max()) for row in rows]
@@ -384,8 +384,7 @@ def _morrey_norms(rows, spec: GridSpec, pq: LebesguePair,
         values, last = _scan_stack(stack, spec, pq, sampler, above)
         for i, e, value in zip(block, block_exps, values):
             norms[i] = float(_ldexp_back(value, e, "a Morrey norm")) if e else value
-        if nested:
-            above = last
+        above = last
     return norms
 
 

@@ -257,8 +257,7 @@ def diamond_criterion(f: GridFunction, family: LPFamily, params: SpaceParams,
     scans = {}  # by the identity of a tail list; cutoffs with equal gates share one
     for a, cutoff_tails in zip(DIAMOND_CUTOFFS, tails):
         if id(cutoff_tails) not in scans:
-            scans[id(cutoff_tails)] = _morrey_norms(cutoff_tails, f.spec, params.pair,
-                                                    sampler, nested=True)
+            scans[id(cutoff_tails)] = _morrey_norms(cutoff_tails, f.spec, params.pair, sampler)
         norms = scans[id(cutoff_tails)]
         sequences[a] = norms
         first, last = norms[0], norms[-1]

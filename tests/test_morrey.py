@@ -272,19 +272,33 @@ PROPERTY_GRIDS = [(1, 8), (1, 64), (1, 256), (2, 8), (2, 16), (3, 8)]
 @settings(max_examples=300, deadline=None)
 @given(grid=st.sampled_from(PROPERTY_GRIDS), shape=st.sampled_from(["cube", "ball"]),
        pq=st.sampled_from([(4.0, 2.0), (3.0, 3.0), (6.0, 3.0), (2.5, 1.5)]),
-       rows=st.lists(st.tuples(st.sampled_from(["zero", "constant", "sparse", "dense"]),
+       rows=st.lists(st.tuples(st.sampled_from(["zero", "constant", "sparse", "dense",
+                                                "shrink"]),
                                st.sampled_from([0, 0, 600, -600, -20]),
                                st.integers(0, 2**16)), min_size=1, max_size=5),
-       picks=st.sets(st.integers(0, 255), min_size=1, max_size=6))
-def test_pruned_scan_equals_the_unpruned_scan(grid, shape, pq, rows, picks):
+       picks=st.sets(st.integers(0, 255), min_size=1, max_size=6),
+       block_rows=st.sampled_from([None, 1, 2]))
+def test_pruned_scan_equals_the_unpruned_scan(grid, shape, pq, rows, picks, block_rows):
     # bit for bit on random stacks, zero rows and rows rescaled by 2^-600 or
-    # 2^600 at q = 3 among them, over dyadic radii or multiples of h/2 up to L/2
+    # 2^600 at q = 3 among them, over dyadic radii or multiples of h/2 up to L/2.
+    # A "shrink" row is the row before it times uniform [0, 1) noise, unscaled
+    # (a dense row if it comes first); with blocks of one or two rows each block
+    # is chained to the last row scanned before it wherever that row dominates,
+    # and rows that shrink it, rows that do not, rescaled rows and zero rows all
+    # keep the unpruned scan's bits
     spec = tk.GridSpec(*grid)
     pq = tk.LebesguePair(*pq)
     radii = sorted({spec.spacing * (1 + k % spec.points) / 2.0 for k in picks})
+    stack = []
+    for kind, scale, seed in rows:
+        if kind == "shrink" and stack:
+            stack.append(stack[-1] * np.random.default_rng(seed).random(spec.shape))
+        else:
+            stack.append(_row(spec, "dense" if kind == "shrink" else kind, scale, seed))
+    block = morrey._ROW_BLOCK_ELEMENTS if block_rows is None else block_rows * spec.size
     for sampler in (tk.WindowSampler.dyadic(spec, shape), tk.WindowSampler(radii, shape)):
-        stack = [_row(spec, *row) for row in rows]
-        with warnings.catch_warnings():
+        with mock.patch.object(morrey, "_ROW_BLOCK_ELEMENTS", block), \
+                warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _morrey_norms(stack, spec, pq, sampler)
         assert got == [_reference_morrey_norm(row, spec, pq, sampler) for row in stack]
@@ -353,40 +367,11 @@ def test_chained_scan_equals_unpruned_scans_of_each_tail(grid, shape, pqrs, scal
         assert rep.details["norm_sequences"][repr(a)] == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(grid=st.sampled_from(PROPERTY_GRIDS), shape=st.sampled_from(["cube", "ball"]),
-       pq=st.sampled_from([(4.0, 2.0), (3.0, 3.0), (6.0, 3.0)]),
-       steps=st.lists(st.tuples(st.sampled_from(["shrink", "fresh", "zero"]),
-                                st.sampled_from([0, 0, 600, -600]), st.integers(0, 2**16)),
-                      min_size=1, max_size=6),
-       block_rows=st.sampled_from([1, 2, 3]))
-def test_nested_scan_of_any_rows_equals_the_unpruned_scan(grid, shape, pq, steps, block_rows):
-    # a nested scan chains a row only where its q-th powers lie at or below the
-    # last scanned row's everywhere: rows that shrink the one before, rows that
-    # do not, rescaled rows and zero rows all keep the unpruned scan's bits
-    spec = tk.GridSpec(*grid)
-    pq = tk.LebesguePair(*pq)
-    sampler = tk.WindowSampler.dyadic(spec, shape)
-    rows = []
-    for kind, scale, seed in steps:
-        rng = np.random.default_rng(seed)
-        if kind == "shrink" and rows:
-            row = rows[-1] * rng.random(spec.shape)
-        else:
-            row = _row(spec, "zero" if kind == "zero" else "dense", 0, seed)
-        rows.append(np.ldexp(row, scale) if kind == "fresh" else row)
-    with mock.patch.object(morrey, "_ROW_BLOCK_ELEMENTS", block_rows * spec.size), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = _morrey_norms(rows, spec, pq, sampler, nested=True)
-    assert got == [_reference_morrey_norm(row, spec, pq, sampler) for row in rows]
-
-
 @pytest.mark.parametrize("shape", ["cube", "ball"])
 def test_chained_scan_makes_at_most_half_the_window_sums(monkeypatch, shape):
-    # the tails of a band-limited 2-D field, each scanned alone (16,384 samples
-    # fill a block): chained to the tail before, at most half the (row, radius)
-    # window sums of the bound of each row alone, and the same norms
+    # the tails of a band-limited 2-D field (16,384 samples fill a block, so
+    # each tail is a block of its own): chained to the tail before, at most half
+    # the (row, radius) window sums of one-row scans, and the same norms
     spec = tk.GridSpec(2, 128)
     family = tk.build_family(spec, top_band(spec))
     params = tk.SpaceParams(4.0, 2.0, 2.0, 0.5)
@@ -401,10 +386,10 @@ def test_chained_scan_makes_at_most_half_the_window_sums(monkeypatch, shape):
         return scan_sum(spec, values, *args, **kwargs)
 
     monkeypatch.setattr(morrey, "window_sum", counting_sum)
-    alone = _morrey_norms(tails, spec, params.pair, sampler)
+    alone = [_morrey_norms([tail], spec, params.pair, sampler)[0] for tail in tails]
     unchained = sum(pairs)
     pairs.clear()
-    assert _morrey_norms(tails, spec, params.pair, sampler, nested=True) == alone
+    assert _morrey_norms(tails, spec, params.pair, sampler) == alone
     assert 0 < 2 * sum(pairs) <= unchained
 
 

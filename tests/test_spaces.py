@@ -165,9 +165,9 @@ def test_diamond_criterion_scans_cutoffs_with_equal_gates_once(spec64, monkeypat
     assert bool(material.any()) is (scale == 20.0)
     scans = []
 
-    def counting_norms(rows, *args, **kwargs):
+    def counting_norms(rows, *args):
         scans.append(rows)
-        return _morrey_norms(rows, *args, **kwargs)
+        return _morrey_norms(rows, *args)
 
     monkeypatch.setattr(spaces, "_morrey_norms", counting_norms)
     rep = tk.diamond_criterion(f, family, params, sampler)
