@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .errors import BandCoverageError, BaselineError, ParameterError, QuadratureError
 from .grid import GridFunction, GridSpec, random_bandlimited, read_binary, read_csv
-from .interp import FAMILY_KINDS, build_analytic_family, make_setup
+from .interp import build_analytic_family, make_setup
 from .lpaley import FLAVORS, build_family, top_band
 from .morrey import WINDOW_SHAPES, LebesguePair, WindowSampler, morrey_norm
 from .report import BaselineStore, report_payload, write_json
@@ -276,12 +276,6 @@ def cmd_diamond_check(args) -> int:
 
 
 def cmd_interp_demo(args) -> int:
-    if args.kind == "exponent-shift" and (args.r0, args.s0) != (args.r1, args.s1):
-        raise ParameterError(
-            f"--kind exponent-shift reads only the endpoint p's, so it needs equal r and s "
-            f"at both ends (got r {args.r0:g}, {args.r1:g} and s {args.s0:g}, {args.s1:g}): "
-            f"use --kind four-exponent"
-        )
     spec = _spec_from_args(args)
     setup = make_setup(args.theta,
                        SpaceParams(args.p0, args.q0, args.r0, args.s0),
@@ -290,7 +284,7 @@ def cmd_interp_demo(args) -> int:
     family = build_family(spec, j_max, "square_root")
     f = _input_or_demo(args, spec, j_max)
     sampler = _sampler_from_args(args, spec)
-    fam = build_analytic_family(args.kind, setup, f, family, sampler)
+    fam = build_analytic_family(setup, f, family, sampler)
 
     reports = [reconstruction_report([fam]), anchor_report([fam]),
                holomorphy_report(fam, args.seed)]
@@ -298,7 +292,7 @@ def cmd_interp_demo(args) -> int:
     reports += [lipschitz_report([fam], side, pairs, sampler, None) for side in (0, 1)]
     zs = [setup.theta + 1j * t for t in (-2.0, -0.5, 0.5, 2.0)]
     reports.append(growth_report(fam, zs, sampler, None))
-    return _finish(args, reports, {"theta": setup.theta, "kind": args.kind,
+    return _finish(args, reports, {"theta": setup.theta,
                                    "end0": vars(setup.end0), "end1": vars(setup.end1),
                                    "mid": vars(setup.mid)})
 
@@ -342,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp-demo", help="analytic family diagnostics on one function")
     _add_options(p, *_FIELD_OPTIONS, "--out")
-    p.add_argument("--kind", choices=FAMILY_KINDS, default="exponent-shift")
     theta, *ends = HOLDER_SETUPS[0]
     p.add_argument("--theta", type=float, default=theta)
     for i, end in enumerate(ends):

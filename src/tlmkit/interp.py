@@ -1,4 +1,4 @@
-"""Analytic families for complex interpolation between two smoothness spaces.
+"""The analytic family for complex interpolation between two smoothness spaces.
 
 Given endpoint parameter tuples (p_l, q_l, r_l, s_l), l = 0, 1, with
 p_0 > p_1, 1 < r_l <= inf, and a shared Morrey ratio p_0/q_0 = p_1/q_1,
@@ -6,46 +6,35 @@ the interpolated tuple at theta in (0,1) is defined by harmonic
 interpolation of p, q, r (1/r = 0 when both r_l are infinite) and linear
 interpolation of s.
 
-Two holomorphic families F(z) through a fixed base function f (pre-scaled
-to norm 1) are provided.  Both are built from the dyadic blocks
-b_nu = phi_nu(D) f and their running l^r sums
+The holomorphic family F(z) through a fixed base function f (pre-scaled
+to norm 1) is built from the dyadic blocks b_nu = phi_nu(D) f and their
+running l^r sums
 
-    V_nu = ( sum_{j<=nu} |2^{js} b_j|^r )^(1/r)        (derived r, s),
+    V_nu = ( sum_{j<=nu} |2^{js} b_j|^r )^(1/r)        (derived r, s).
 
-and both reduce to f at z = theta.
+It splits the modulation across four affine exponents rho_1..rho_4
+(zero, zero, zero, one at theta):
 
-* kind "exponent-shift" rides a single affine exponent
+    F(z) = sum_nu phi_nu(D) [ 2^(nu rho_1(z)) V_nu^rho_2(z)
+                               ||f||^rho_3(z) sgn(b_nu) |b_nu|^rho_4(z) ].
 
-      F(z) = sum_nu phi_nu(D) [ V_nu^(p((1-z)/p_0 + z/p_1) - 1) b_nu ],
-
-  and requires the square-root multiplier flavor so that the partition of
-  the squares makes F(theta) = sum phi_nu(D) phi_nu(D) f = f exactly.  It
-  reads only the endpoint p's: r_l and s_l enter only through the derived
-  r and s of V_nu.  With unequal endpoint r's or s's it is still a
-  holomorphic family through f, but its boundary values are not measured
-  against the endpoint r's and s's; the four-exponent family is.
-
-* kind "four-exponent" splits the modulation across four affine
-  exponents rho_1..rho_4 (zero, zero, zero, one at theta):
-
-      F(z) = sum_nu phi_nu(D) [ 2^(nu rho_1(z)) V_nu^rho_2(z)
-                                 ||f||^rho_3(z) sgn(b_nu) |b_nu|^rho_4(z) ].
-
-  The pre-scaled base has norm 1 (or 0, and then every band and F vanish),
-  so the factor ||f||^rho_3(z) is 1 and is not computed.  With equal
-  endpoint r's and s's the four exponents collapse onto the exponent-shift
-  family (rho_1 = 0, rho_4 = 1 identically).  Either multiplier flavor is
-  accepted; with the plain flavor F(theta) differs from f by a measurable
-  defect that callers report rather than hide.
+The pre-scaled base has norm 1 (or 0, and then every band and F vanish),
+so the factor ||f||^rho_3(z) is 1 and is not computed.  With equal
+endpoint r's and s's, rho_1 = 0 and rho_4 = 1 identically, and F is
+HNS15's single-exponent family sum_nu phi_nu(D) [ V_nu^rho_2(z) b_nu ].
+Either multiplier flavor is accepted: the square-root flavor makes
+F(theta) = sum phi_nu(D) phi_nu(D) f = f exactly, and with the plain
+flavor F(theta) differs from f by a measurable defect that callers report
+rather than hide.
 
 Powers of vanishing bases follow one convention: 0^w = 0 for every w.
 Since |2^{nu s} b_nu| <= V_nu pointwise, a vanishing base always comes
 with a vanishing cofactor, so the convention never changes a value; it
 only keeps intermediates finite.  Every exponent is affine in z, so where
-both bases are nonzero the family stores, per band, a carrier (b_nu, or
-sgn b_nu for four-exponent) and the band's exponent as its value at z = 0
-and its real slope in z; an evaluation is one exponential per live point,
-j_max + 1 FFTs and one inverse FFT.
+both bases are nonzero the family stores, per band, the carrier sgn b_nu
+and the band's exponent as its value at z = 0 and its real slope in z; an
+evaluation is one exponential per live point, j_max + 1 FFTs and one
+inverse FFT.
 
 G(z) = integral of F from theta to z (the primitive of Calderon's second
 complex method, which the paper reaches through Bergh's formula) is
@@ -79,7 +68,6 @@ from .scalars import exprel
 from .spaces import SpaceParams, _block_moduli, _tlm_norms, _weigh, tlm_norm
 
 __all__ = [
-    "FAMILY_KINDS",
     "InterpSetup",
     "AnalyticFamily",
     "make_setup",
@@ -95,8 +83,6 @@ __all__ = [
     "holomorphy_residual",
 ]
 
-FAMILY_KINDS = ("exponent-shift", "four-exponent")
-
 QUAD_NODES = 32  # Gauss-Legendre nodes per unit-length chunk of the oracle rule
 QUAD_TOL = 1e-9  # relative l2 gap allowed between an oracle rule and the closed form
 HOLOMORPHY_PROBES = 20  # random functionals of the Cauchy-Riemann probe
@@ -111,7 +97,6 @@ class InterpSetup:
     end0: SpaceParams
     end1: SpaceParams
     mid: SpaceParams
-    p_gap: float  # p/p_1 - p/p_0, positive
 
     @property
     def endpoints(self) -> tuple:
@@ -140,7 +125,7 @@ def make_setup(theta: float, end0: SpaceParams, end1: SpaceParams) -> InterpSetu
     p_gap = p / end1.p - p / end0.p
     if not p_gap > 0:
         raise ParameterError(f"derived p gap must be positive, got {p_gap}")
-    return InterpSetup(theta, end0, end1, mid, p_gap)
+    return InterpSetup(theta, end0, end1, mid)
 
 
 def _rho_endpoint(setup: InterpSetup, k: int, l: int) -> float:
@@ -171,10 +156,9 @@ class _Band:
     """What the exponentials of one band need, on the points where it lives.
 
     live: flat indices where both b_nu and V_nu are nonzero; elsewhere the
-    band's term is zero under the 0^w = 0 convention.  carrier: b_nu there
-    (exponent-shift) or sgn b_nu (four-exponent).  The band's term there is
-    carrier * exp(at0 + z slope): at0 is its exponent at z = 0 and slope
-    the real rate of change in z.
+    band's term is zero under the 0^w = 0 convention.  carrier: sgn b_nu
+    there.  The band's term there is carrier * exp(at0 + z slope): at0 is
+    its exponent at z = 0 and slope the real rate of change in z.
     """
 
     live: np.ndarray
@@ -187,52 +171,40 @@ class _Band:
 class AnalyticFamily:
     """Cached band exponents of the base function for one setup."""
 
-    kind: str
     setup: InterpSetup
     lp_family: LPFamily
     base: GridFunction
     bands: tuple  # one _Band per block phi_nu(D) base
 
 
-def _band(kind: str, setup: InterpSetup, nu: int, block: np.ndarray,
-          aggregate: np.ndarray) -> _Band:
+def _band(setup: InterpSetup, nu: int, block: np.ndarray, aggregate: np.ndarray) -> _Band:
     b, v = block.ravel(), aggregate.ravel()
     mod = np.abs(b)
     live = np.flatnonzero((v > 0.0) & (mod > 0.0))
-    log_v = np.log(v[live])
-    if kind == "exponent-shift":  # (p((1-z)/p_0 + z/p_1) - 1) log V_nu
-        at0 = (setup.mid.p / setup.end0.p - 1.0) * log_v
-        return _Band(live, b[live], at0, setup.p_gap * log_v)
-    log_b = np.log(mod[live])
+    log_v, log_b = np.log(v[live]), np.log(mod[live])
     at0, at1 = (rho(setup, 1, z) * (nu * np.log(2.0))
                 + (rho(setup, 2, z) * log_v + rho(setup, 4, z) * log_b)
                 for z in (0.0, 1.0))
     return _Band(live, b[live] / mod[live], at0, at1 - at0)
 
 
-def build_analytic_family(kind: str, setup: InterpSetup, f: GridFunction,
-                          lp_family: LPFamily, sampler: WindowSampler) -> AnalyticFamily:
+def build_analytic_family(setup: InterpSetup, f: GridFunction, lp_family: LPFamily,
+                          sampler: WindowSampler) -> AnalyticFamily:
     """Project f onto the bands and cache each band's affine exponent,
     built from the running l^r sums V_nu.
 
     The base function is pre-scaled to unit middle norm (the construction
     assumes it).
     """
-    if kind not in FAMILY_KINDS:
-        raise ParameterError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
-    if kind == "exponent-shift" and lp_family.flavor != "square_root":
-        raise ParameterError(
-            "exponent-shift families need the square-root multiplier flavor"
-        )
     scale = tlm_norm(f, lp_family, setup.mid, sampler)
     base = f * (1.0 / scale) if scale > 0.0 else f
     blocks = project_all(lp_family, base)
     mid = setup.mid
     moduli, e = _block_moduli(lp_family, base, blocks)
     weighted = _weigh(moduli, mid.s, e)
-    bands = tuple(_band(kind, setup, nu, b, _lr_aggregate(weighted[:nu + 1], mid.r))
+    bands = tuple(_band(setup, nu, b, _lr_aggregate(weighted[:nu + 1], mid.r))
                   for nu, b in enumerate(blocks))
-    return AnalyticFamily(kind, setup, lp_family, base, bands)
+    return AnalyticFamily(setup, lp_family, base, bands)
 
 
 def _synthesize(fam: AnalyticFamily, band_term, what: str) -> GridFunction:

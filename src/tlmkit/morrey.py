@@ -96,7 +96,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, GridSpec, _check_same_spec, _ldexp_back, _rescale_exponent
+from .grid import (_MIN_EXP, GridFunction, GridSpec, _check_same_spec, _ldexp_back,
+                   _rescale_exponent)
 
 __all__ = [
     "LebesguePair",
@@ -115,6 +116,9 @@ _UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 _EDGE_TOL = 1.0 + 1e-12
 # samples per stack of rows scanned together; a larger row is scanned alone
 _ROW_BLOCK_ELEMENTS = 1 << 14
+# 53 bits above float64's normal range: a sum of r-th powers at least this large
+# loses less than its own rounding to powers that went subnormal or vanished
+_FAINT_SUM = 2.0 ** (_MIN_EXP + 53)
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,10 @@ def _lr_suffixes(stack, r: float, count: int = None) -> list:
     max.  Each row's r-th power is taken once and every suffix sums the
     stored powers down axis 0, so it has the bits of a stack of its own.  A
     suffix whose powers would leave float64 is scaled down by an exact power
-    of two, aggregated and scaled back.
+    of two, aggregated and scaled back.  Where a sum of powers falls below
+    _FAINT_SUM, powers of small entries may have rounded below float64's
+    normal range or vanished (for large r), so there the norm is taken
+    relative to the pointwise max instead.
     Every bare r in the package meets its one check of 1 < r <= inf here."""
     if not 1.0 < r <= np.inf:
         raise ParameterError(f"need 1 < r <= inf, got r={r}")
@@ -333,14 +340,23 @@ def _lr_suffixes(stack, r: float, count: int = None) -> list:
     aggs = []
     powers = first = None
     for j in range(count):
-        e = _rescale_exponent(max(peaks[j:]), r, len(arr) - j)
+        peak = max(peaks[j:])
+        e = _rescale_exponent(peak, r, len(arr) - j)
         if e:
-            agg = (np.ldexp(arr[j:], -e) ** r).sum(axis=0) ** (1.0 / r)
-            aggs.append(_ldexp_back(agg, e, f"an l^{r:g} aggregate"))
-            continue
-        if powers is None:  # no later suffix needs the rows before this one
-            powers, first = arr[j:] ** r, j
-        aggs.append(powers[j - first:].sum(axis=0) ** (1.0 / r))
+            rows = np.ldexp(arr[j:], -e)
+            sums = (rows**r).sum(axis=0)
+        else:
+            if powers is None:  # no later suffix needs the rows before this one
+                powers, first = arr[j:] ** r, j
+            rows, sums = arr[j:], powers[j - first:].sum(axis=0)
+        agg = sums ** (1.0 / r)
+        faint = sums < _FAINT_SUM
+        if peak > 0.0 and faint.any():
+            sub = rows[:, faint]
+            top = sub.max(axis=0)
+            unit = np.where(top > 0.0, top, 1.0)
+            agg[faint] = top * ((sub / unit) ** r).sum(axis=0) ** (1.0 / r)
+        aggs.append(_ldexp_back(agg, e, f"an l^{r:g} aggregate") if e else agg)
     return aggs
 
 

@@ -123,9 +123,10 @@ def _weigh(moduli: np.ndarray, s: float, e: int) -> np.ndarray:
     if e == 0 and top < _MAX_EXP and not _rescale_exponent(float(moduli.max()), 1.0, 2.0**top):
         weights = np.array([2.0 ** (j * s) for j in range(n_bands)])
         return weights.reshape(rows) * moduli
-    whole = [math.floor(j * s) for j in range(n_bands)]
-    fracs = np.array([2.0 ** (j * s - w) for j, w in enumerate(whole)])
-    # past the clamp every shift gives 0 or inf anyway
+    # past the clamp every exponent, and so every shift, gives 0 or inf anyway
+    js = [min(max(j * s, -_EXP_CLAMP), _EXP_CLAMP) for j in range(n_bands)]
+    whole = [math.floor(x) for x in js]
+    fracs = np.array([2.0 ** (x - w) for x, w in zip(js, whole)])
     shifts = np.array([min(max(w + e, -_EXP_CLAMP), _EXP_CLAMP) for w in whole])
     with np.errstate(over="ignore"):
         weighted = np.ldexp(fracs.reshape(rows) * moduli, shifts.reshape(rows))

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tlmkit.report
 from tlmkit import BaselineStore, GridSpec, SuiteConfig, random_bandlimited, write_binary, write_csv
 from tlmkit.cli import build_parser, main
-from tlmkit.interp import FAMILY_KINDS
 from tlmkit.lpaley import FLAVORS
 from tlmkit.morrey import WINDOW_SHAPES
 from tlmkit.suites import HOLDER_SETUPS
@@ -276,21 +275,19 @@ def test_suite_report_config_lists_what_the_suites_read(capsys, tmp_path, argv, 
     assert set(json.loads(out_path.read_text())["config"]) == keys
 
 
-@pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
-def test_interp_demo_runs(capsys, tmp_path, kind):
+def test_interp_demo_runs(capsys, tmp_path):
     # the 3-D grid needs G's exact spectrum: FFT round-off in its corner
     # frequencies above the top band would fail the coverage check
     for grid in (SMALL, ["--grid-dim", "3", "--grid-points", "16", "--jmax", "2"]):
         out_path = tmp_path / "demo.json"
-        code, out, _ = run(["interp-demo", "--kind", kind, "--out", str(out_path)] + grid,
-                           capsys)
+        code, out, _ = run(["interp-demo", "--out", str(out_path)] + grid, capsys)
         assert code == 0
         assert "reconstruction" in out
         assert "3 passed, 0 failed, 3 not decided" in out
         doc = json.loads(out_path.read_text())
         n_printed = sum(1 for line in out.splitlines() if line.startswith("["))
         assert doc["n_checks"] == len(doc["checks"]) == n_printed == 6
-        assert doc["config"]["kind"] == kind
+        assert set(doc["config"]) == {"theta", "end0", "end1", "mid"}
         verdicts = {c["check"]: c["verdict"] for c in doc["checks"]}
         assert all(verdicts[c] == "not-decided"
                    for c in ("lipschitz[side=0]", "lipschitz[side=1]", "global-growth"))
@@ -325,11 +322,16 @@ def test_overflowing_blocks_exit_2(capsys, tmp_path, command):
     ["tlm-norm", "-s", "600"],
     ["diamond-check", "-s", "600"],
     ["diamond-check", "--profile", "persistent", "-s", "-400"],
-    ["interp-demo", "--kind", "exponent-shift", "--s0", "600", "--s1", "600"],
-], ids=["tlm-norm", "diamond-check", "persistent-profile", "interp-demo"])
+    ["interp-demo", "--s0", "600", "--s1", "600"],
+    ["tlm-norm", "-s", "1e308"],
+    ["diamond-check", "-s", "1e308"],
+    ["interp-demo", "--s0", "1e308", "--s1", "1e308"],
+], ids=["tlm-norm", "diamond-check", "persistent-profile", "interp-demo",
+        "tlm-norm-s-1e308", "diamond-check-s-1e308", "interp-demo-s-1e308"])
 def test_overflowing_weights_exit_2(capsys, argv):
-    # the demo field's band-2 block carries the weight 2^(2s) = 2^1200; the
-    # persistent profile's band-j amplitude is 2^(-js) = 2^(400j)
+    # the demo field's band-2 block carries the weight 2^(2s) = 2^1200, and
+    # 2^(2s) = 2^inf at s = 1e308; the persistent profile's band-j amplitude
+    # is 2^(-js) = 2^(400j)
     code, _, err = run(argv + SMALL, capsys)
     assert code == 2
     assert err.startswith("error: ") and "overflows float64" in err
@@ -475,12 +477,13 @@ def test_calibrate_with_few_bands_exits_0(capsys, tmp_path):
     assert "calibrated" in out
 
 
-@pytest.mark.parametrize("argv", [["--r1", "4"], ["--s1", "1"]], ids=["r1", "s1"])
-def test_exponent_shift_with_unequal_r_or_s_exits_2(capsys, argv):
-    code, out, err = run(["interp-demo", "--kind", "exponent-shift", *argv], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "--kind four-exponent" in err
-    assert err.count("\n") == 1
+def test_interp_demo_kind_is_an_unknown_option(capsys):
+    # one analytic family: the option that chose between two is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["interp-demo", "--kind", "four-exponent"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --kind" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,7 +560,6 @@ def test_interp_demo_defaults_are_the_first_holder_setup():
 
 
 @pytest.mark.parametrize("command, dest, owner", [
-    ("interp-demo", "kind", FAMILY_KINDS),
     ("tlm-norm", "flavor", FLAVORS),
     *((command, "windows", WINDOW_SHAPES)
       for command in ("verify-all", "calibrate", "maximal-suite", "morrey-norm",

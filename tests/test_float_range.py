@@ -27,6 +27,10 @@ from tlmkit.spaces import COVERAGE_TOL, _tlm_norms, coverage_defect
 GRIDS = {"1d-64": (1, 64, 4, 3), "2d-16": (2, 16, 2, 1), "3d-8": (3, 8, 1, 0)}
 PQ = tk.LebesguePair(4.0, 2.0)
 SPACES = [tk.SpaceParams(4.0, 2.0, r, s) for s in (-0.5, 0.0, 0.5, 2.0) for r in (2.0, np.inf)]
+# smoothness so large that every band j >= 1 overflows (s > 0) or vanishes
+# (s < 0); kept out of the batched tlm_norms call, which would otherwise
+# raise for the whole batch and never reach its finiteness check
+HUGE_S = [tk.SpaceParams(4.0, 2.0, r, s) for s in (-1e308, 1e308) for r in (2.0, np.inf)]
 BAND_ENTRY_POINTS = ("tlm_norm", "tlm_norms", "diamond_criterion", "square_function",
                      "truncated_square_function")
 
@@ -61,7 +65,7 @@ def _entry_points(grid: str):
     yield "hl_maximal", lambda f: tk.hl_maximal(f, cube).values.real.max()
     yield "multiplier_maximal_ratio", lambda f: tk.multiplier_maximal_ratio(f, family, cube)
     yield "tlm_norms", lambda f: max(_tlm_norms([f], family, SPACES, cube)[0])
-    for params in SPACES:
+    for params in SPACES + HUGE_S:
         r, s = params.r, params.s
         yield f"tlm_norm[s={s},r={r}]", \
             lambda f, p=params: tk.tlm_norm(f, family, p, cube)

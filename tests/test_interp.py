@@ -45,7 +45,6 @@ def test_make_setup_midpoint_values():
     assert setup.mid.p == pytest.approx(16.0 / 3.0, rel=1e-14)
     assert setup.mid.q == pytest.approx(8.0 / 3.0, rel=1e-14)
     assert setup.mid.r == 2.0 and setup.mid.s == 0.0
-    assert setup.p_gap == pytest.approx(setup.mid.p / 4.0 - setup.mid.p / 8.0)
 
 
 def test_make_setup_validation():
@@ -81,26 +80,17 @@ def test_rho_values_at_theta():
 @pytest.fixture(scope="module")
 def built_family(spec256, family_sqrt, sampler256):
     f = tk.random_bandlimited(spec256, 4, 314)
-    return tk.build_analytic_family("exponent-shift", collapse_setup(), f,
-                                    family_sqrt, sampler256)
+    return tk.build_analytic_family(collapse_setup(), f, family_sqrt, sampler256)
 
 
-@pytest.mark.parametrize("kind", interp.FAMILY_KINDS)
 def test_family_build_transforms_each_function_once(spec256, family_sqrt, sampler256,
-                                                    kind, fftn_calls):
+                                                    fftn_calls):
     # one forward DFT for f (its middle norm) and one for the rescaled base
     # (its coverage check and its blocks)
     f = tk.GridFunction(spec256, tk.random_bandlimited(spec256, 4, 314).values)
     start = len(fftn_calls)
-    tk.build_analytic_family(kind, collapse_setup(), f, family_sqrt, sampler256)
+    tk.build_analytic_family(collapse_setup(), f, family_sqrt, sampler256)
     assert len(fftn_calls) == start + 2
-
-
-def test_family_requires_squared_flavor(spec256, family_plain, sampler256):
-    f = tk.random_bandlimited(spec256, 4, 314)
-    with pytest.raises(ParameterError):
-        tk.build_analytic_family("exponent-shift", collapse_setup(), f,
-                                 family_plain, sampler256)
 
 
 def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeypatch):
@@ -117,7 +107,7 @@ def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeyp
         monkeypatch.setattr(module, "project_all", counting_projection)
     setup = general_setup()
     f = tk.random_bandlimited(spec256, 4, 2024)
-    fam = tk.build_analytic_family("four-exponent", setup, f, family_sqrt, sampler256)
+    fam = tk.build_analytic_family(setup, f, family_sqrt, sampler256)
     assert projected == [f, fam.base]  # the norm that scales f, then the base
     weighted = _weighted_blocks(family_sqrt, fam.base, setup.mid.s)
     blocks = tk.project_all(family_sqrt, fam.base)
@@ -167,18 +157,17 @@ def test_long_contour_chunking(built_family):
     assert np.linalg.norm((g - dense).values) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
 @pytest.mark.parametrize("grid", [(1, 256, 6), (2, 64, 4), (3, 16, 2)],
                          ids=["1d-256", "2d-64", "3d-16"])
-def test_closed_form_matches_quadrature_oracle(kind, grid):
+def test_closed_form_matches_quadrature_oracle(grid):
     dim, points, j_max = grid
     spec = tk.GridSpec(dim, points)
     family = tk.build_family(spec, j_max, "square_root")
     sampler = tk.WindowSampler.dyadic(spec, "cube")
     f = tk.random_bandlimited(spec, j_max - 1, 91, real_output=False)
-    for entry in HOLDER_SETUPS:
+    for entry in HOLDER_SETUPS + tuple(INF_R_SETUPS):
         setup = _setup(entry)
-        fam = tk.build_analytic_family(kind, setup, f, family, sampler)
+        fam = tk.build_analytic_family(setup, f, family, sampler)
         th = setup.theta
         for z in (th + 8j, th + 1e-4, 1 + 0.01j, 0.0, 1.0, -2j):
             exact = segment_integral(fam, th, z).values
@@ -188,8 +177,9 @@ def test_closed_form_matches_quadrature_oracle(kind, grid):
 
 
 def test_family_values_beyond_float64_raise(built_family):
-    # log V_nu scaled by 1e3 puts exp(e(0) log V_nu) far beyond float64 where V_nu < 1
-    bands = tuple(dataclasses.replace(b, at0=b.at0 * 1e3, slope=b.slope * 1e3)
+    # the exponent at 0, (p/p_0 - 1) log V_nu + log|b_nu|, is negative where
+    # V_nu < 1; scaled by -1e3 it puts the family far beyond float64
+    bands = tuple(dataclasses.replace(b, at0=b.at0 * -1e3, slope=b.slope * -1e3)
                   for b in built_family.bands)
     fam = dataclasses.replace(built_family, bands=bands)
     with warnings.catch_warnings():
@@ -200,30 +190,45 @@ def test_family_values_beyond_float64_raise(built_family):
             segment_integral(fam, fam.setup.theta, 0.0)
 
 
+def _single_exponent_F(fam, z):
+    """HNS15's family sum_nu phi_nu(D) [ V_nu^(p((1-z)/p_0 + z/p_1) - 1) b_nu ],
+    summed band by band from a fresh projection of the base."""
+    setup = fam.setup
+    mid = setup.mid
+    blocks = tk.project_all(fam.lp_family, fam.base)
+    weighted = _weighted_blocks(fam.lp_family, fam.base, mid.s)
+    power = mid.p * ((1.0 - z) / setup.end0.p + z / setup.end1.p) - 1.0
+    acc = np.zeros(fam.base.spec.shape, dtype=np.complex128)
+    for nu, (mult, block) in enumerate(zip(fam.lp_family.multipliers, blocks)):
+        v = _lr_aggregate(weighted[:nu + 1], mid.r)
+        safe = np.where(v > 0.0, v, 1.0)  # 0^w = 0: a vanishing V_nu has b_nu = 0
+        term = np.where(v > 0.0, np.exp(power * np.log(safe)), 0.0) * block
+        acc += mult * np.fft.fftn(term, norm="ortho")
+    return np.fft.ifftn(acc, norm="ortho")
+
+
 def test_collapse_between_kinds(spec256, family_sqrt, sampler256):
     # equal endpoint r and s (r = inf included: r/r_l = 1 in the limit) make
-    # rho_1 = 0 and rho_4 = 1, so the four-exponent family is the exponent-shift one
+    # rho_1 = 0 and rho_4 = 1, so the family is HNS15's single-exponent one
     f = tk.random_bandlimited(spec256, 4, 271, real_output=False)
     for setup in (collapse_setup(), _setup(INF_R_SETUPS[0])):
         for z in (0.0, 0.3 + 2j, 1.0):
             assert rho(setup, 1, z) == 0.0 and rho(setup, 4, z) == pytest.approx(1.0, abs=1e-15)
-        fam_a = tk.build_analytic_family("exponent-shift", setup, f, family_sqrt, sampler256)
-        fam_b = tk.build_analytic_family("four-exponent", setup, f, family_sqrt, sampler256)
-        for z in (0.15, 0.7 + 1.3j):
-            a = family_F(fam_a, z).values
-            b = family_F(fam_b, z).values
-            assert np.max(np.abs(a - b)) < 1e-12 * np.abs(a).max()
+        fam = tk.build_analytic_family(setup, f, family_sqrt, sampler256)
+        for z in (0.15, 0.7 + 1.3j, setup.theta):
+            a = _single_exponent_F(fam, z)
+            b = family_F(fam, z).values
+            assert np.max(np.abs(a - b)) < 1e-12 * np.abs(a).max(), (setup.mid.r, z)
 
 
 @pytest.mark.parametrize("entry", INF_R_SETUPS, ids=INF_R_IDS)
 def test_infinite_r_reconstruction(spec256, family_sqrt, sampler256, entry):
     setup = _setup(entry)
     f = tk.random_bandlimited(spec256, 4, 808, real_output=False)
-    for kind in ("exponent-shift", "four-exponent"):
-        fam = tk.build_analytic_family(kind, setup, f, family_sqrt, sampler256)
-        base = fam.base.values
-        err = np.linalg.norm(family_F(fam, setup.theta).values - base)
-        assert err <= 1e-12 * np.linalg.norm(base), kind
+    fam = tk.build_analytic_family(setup, f, family_sqrt, sampler256)
+    base = fam.base.values
+    err = np.linalg.norm(family_F(fam, setup.theta).values - base)
+    assert err <= 1e-12 * np.linalg.norm(base)
 
 
 @pytest.mark.parametrize("entry", INF_R_SETUPS, ids=INF_R_IDS)
@@ -244,13 +249,12 @@ def zero_band_function(spec):
     return tk.GridFunction(spec, np.fft.ifftn(coeffs, norm="ortho"), spectrum=coeffs)
 
 
-@pytest.mark.parametrize("kind", ["exponent-shift", "four-exponent"])
-def test_zero_band_base(spec256, family_sqrt, sampler256, kind):
+def test_zero_band_base(spec256, family_sqrt, sampler256):
     # bands with no live point are skipped; F and G must not notice
     f = zero_band_function(spec256)
     blocks = tk.project_all(family_sqrt, f)
     assert all(np.all(blocks[j] == 0.0) for j in (1, 2, 3, 6))
-    fam = tk.build_analytic_family(kind, general_setup(), f, family_sqrt, sampler256)
+    fam = tk.build_analytic_family(general_setup(), f, family_sqrt, sampler256)
     th = fam.setup.theta
     base = fam.base.values
     assert np.linalg.norm(family_F(fam, th).values - base) <= 1e-12 * np.linalg.norm(base)
@@ -269,7 +273,7 @@ def test_holomorphy_residual_on_steep_exponents(spec256, family_sqrt, sampler256
     setup = tk.make_setup(0.001, tk.SpaceParams(1000, 1000, 2, 0.0),
                           tk.SpaceParams(1.01, 1.01, 2, 0.0))
     f = tk.random_bandlimited(spec256, 4, 314)
-    fam = tk.build_analytic_family("exponent-shift", setup, f, family_sqrt, sampler256)
+    fam = tk.build_analytic_family(setup, f, family_sqrt, sampler256)
     assert holomorphy_residual(fam, setup.theta + 0.1 + 0.2j, seed=3) < 1e-9
 
 
@@ -319,9 +323,8 @@ def test_global_growth_normalization(built_family, sampler256):
     assert rep.empirical_constant == max(values)
 
 
-@pytest.mark.parametrize("kind", interp.FAMILY_KINDS)
-def test_global_growth_of_the_zero_function_is_1(spec256, family_sqrt, sampler256, kind):
+def test_global_growth_of_the_zero_function_is_1(spec256, family_sqrt, sampler256):
     # G vanishes and so does the normalizer: the vacuous 0/0 bound reads 1
     zero = tk.GridFunction(spec256, np.zeros(spec256.shape))
-    fam = tk.build_analytic_family(kind, collapse_setup(), zero, family_sqrt, sampler256)
+    fam = tk.build_analytic_family(collapse_setup(), zero, family_sqrt, sampler256)
     assert tk.global_growth_check(fam, [0.2 + 0.5j, 0.8 - 1.5j], sampler256) == [1.0, 1.0]

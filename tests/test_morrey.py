@@ -116,6 +116,20 @@ def test_vector_norm_reduces_to_scalar(spec64):
     assert sup == pytest.approx(2.0 * solo, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [80.0, 160.0])
+def test_lr_aggregate_of_faint_entries_beside_a_unit_peak(r):
+    # x^r of the entries below 1e-4 leaves float64's normal range beside the
+    # peak 1, which sets no rescale; the aggregate is still x (1 + 2^-r)^(1/r)
+    # or x itself, and never 0 where an entry is not
+    x = np.array([1.0, 1e-4, 1e-12, 1e-300, 5e-324, 0.0])
+    agg = _lr_aggregate([x, 0.5 * x], r)
+    want = x * (1.0 + 0.5**r) ** (1.0 / r)
+    assert np.all((agg > 0.0) == (x > 0.0))
+    assert np.allclose(agg[:-2], want[:-2], rtol=1e-15, atol=0.0)
+    assert agg[-2] == x[-2] and agg[-1] == 0.0  # the least subnormal, and zero
+    assert np.array_equal(_lr_aggregate([x[:1], 0.5 * x[:1]], r), agg[:1])  # the peak keeps its bits
+
+
 @pytest.mark.parametrize("c", [1e200, 1e-200])
 def test_norm_homogeneous_near_float_limits(spec64, c):
     # q-th powers of these samples leave float64; the norm must not

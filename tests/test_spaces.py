@@ -66,17 +66,13 @@ def test_square_function_matches_blocks(spec256, family_plain, f_band4):
 
 def test_partial_square_monotone(family_sqrt, sampler256, f_band4):
     # the analytic family's running aggregates V_nu are the partial square
-    # functions over bands 0..nu of its base, so they grow with nu up to S;
-    # the exponent-shift slope of band nu is p_gap log V_nu on its live points
+    # functions over bands 0..nu of its base, so they grow with nu up to S
     setup = tk.make_setup(0.5, tk.SpaceParams(8.0, 4.0, 2.5, 0.3),
                           tk.SpaceParams(4.0, 2.0, 2.5, 0.3))
-    fam = tk.build_analytic_family("exponent-shift", setup, f_band4, family_sqrt,
-                                   sampler256)
+    fam = tk.build_analytic_family(setup, f_band4, family_sqrt, sampler256)
     mid = setup.mid
     weighted = _weighted_blocks(family_sqrt, fam.base, mid.s)
     aggregates = [_lr_aggregate(weighted[:nu + 1], mid.r) for nu in range(len(weighted))]
-    for agg, band in zip(aggregates, fam.bands):
-        assert np.array_equal(band.slope, setup.p_gap * np.log(agg.ravel()[band.live]))
     for lo, hi in zip(aggregates, aggregates[1:]):
         assert np.all(hi >= lo - 1e-13)
     full = tk.square_function(fam.base, family_sqrt, mid.r, mid.s).values.real
