@@ -58,7 +58,6 @@ from .scalars import (
     PhiPsiParams,
     exp_log_bound_check,
     log_damping_complex_check,
-    log_damping_imag_check,
     phi_kappa,
     psi_kappa,
     psi_tail_bound_check,

@@ -266,13 +266,11 @@ def cmd_diamond_check(args) -> int:
         f = _input_or_demo(args, spec, j_max)
     sampler = _sampler_from_args(args, spec)
     rep = diamond_criterion(f, family, params, sampler)
-    _print_reports([rep])
-    if args.out:
-        write_json(args.out, report_payload([rep], {"profile": args.profile}))
+    code = _finish(args, [rep], {"profile": args.profile})
     if args.expect and rep.verdict != args.expect:
         print(f"expected verdict {args.expect!r}, got {rep.verdict!r}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    return EXIT_CHECK_FAILED if rep.verdict == "fail" else EXIT_OK
+    return code
 
 
 def cmd_interp_demo(args) -> int:

@@ -190,7 +190,8 @@ class GridFunction:
     ``spectrum`` optionally carries the unitary DFT of the samples.  It is
     set by constructors that build a function *from* its coefficients
     (:func:`random_bandlimited`, :func:`refine`, band projections), where
-    the coefficient array is known exactly, zeros included.  Multiplier
+    the coefficient array is known exactly, zeros included, and kept as the
+    field's own read-only copy, like the samples.  Multiplier
     operators read it through :meth:`coeffs`, so a function assembled with
     exactly bounded spectral support keeps exact zeros through the whole
     projection pipeline instead of picking up transform round-off.
@@ -204,7 +205,8 @@ class GridFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_field(self.spec, _samples(self.values)))
         if self.spectrum is not None:
-            spectrum = np.asarray(self.spectrum, dtype=np.complex128)
+            spectrum = np.array(self.spectrum, dtype=np.complex128)
+            spectrum.flags.writeable = False
             object.__setattr__(self, "spectrum", _as_field(self.spec, spectrum))
 
     @cached_property

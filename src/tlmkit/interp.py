@@ -65,7 +65,7 @@ from .lpaley import LPFamily, project_all
 from .morrey import WindowSampler, _lr_aggregate
 from .report import safe_ratio
 from .scalars import exprel
-from .spaces import SpaceParams, _block_moduli, _tlm_norms, _weigh, tlm_norm
+from .spaces import SpaceParams, _tlm_norms, _weighted_blocks, tlm_norm
 
 __all__ = [
     "InterpSetup",
@@ -199,10 +199,8 @@ def build_analytic_family(setup: InterpSetup, f: GridFunction, lp_family: LPFami
     scale = tlm_norm(f, lp_family, setup.mid, sampler)
     base = f * (1.0 / scale) if scale > 0.0 else f
     blocks = project_all(lp_family, base)
-    mid = setup.mid
-    moduli, e = _block_moduli(lp_family, base, blocks)
-    weighted = _weigh(moduli, mid.s, e)
-    bands = tuple(_band(setup, nu, b, _lr_aggregate(weighted[:nu + 1], mid.r))
+    weighted = _weighted_blocks(lp_family, base, setup.mid.s)
+    bands = tuple(_band(setup, nu, b, _lr_aggregate(weighted[:nu + 1], setup.mid.r))
                   for nu, b in enumerate(blocks))
     return AnalyticFamily(setup, lp_family, base, bands)
 

@@ -9,9 +9,9 @@ scalar estimates.  Writing L(s) = log(s + 1/s) (minimum log 2 at s = 1):
 
 * log damping: for Re z >= 0 and 1 <= r < inf,
       |(s^z - 1)/log(s^r)| <= C_z / L(s) on (0,1),
-  with s^-z on (1,inf), and the purely imaginary variant for s^it on
-  both sides of 1 -- the constants are empirical, calibrated and then
-  pinned with a regression gate;
+  with s^-z on (1,inf); the purely imaginary exponent s^it is the case
+  z = it -- the constants are empirical, calibrated and then pinned with
+  a regression gate;
 
 * the weight pair
       Phi_kappa(t) = t^(kappa-1)/L(t),
@@ -56,7 +56,6 @@ __all__ = [
     "psi_kappa",
     "sequence_power_margin",
     "log_damping_complex_check",
-    "log_damping_imag_check",
     "psi_tail_bound_check",
     "exp_log_bound_check",
 ]
@@ -269,6 +268,8 @@ def log_damping_complex_check(z: complex, r: float) -> tuple:
     refined) pair of sups: on the grid and on its geometric refinement.
     """
     z = complex(z)
+    if not np.isfinite(z):
+        raise ParameterError(f"z must be finite, got {z}")
     if z.real < 0:
         raise ParameterError(f"need Re(z) >= 0, got {z}")
     _check_r(r)
@@ -277,14 +278,6 @@ def log_damping_complex_check(z: complex, r: float) -> tuple:
     # (log(s^r) flips sign inside |.|, log(s + 1/s) is invariant), so one
     # scan of (0,1) covers both inequalities
     return tuple(float(_power_ratio_small_s(z, r, g).max()) for g in _s_grids())
-
-
-def log_damping_imag_check(t: float, r: float) -> tuple:
-    """Empirical C_t for the purely imaginary exponent s^(it), s != 1: the
-    complex scan at z = it, whose branches coincide under s -> 1/s."""
-    if not np.isfinite(t):
-        raise ParameterError(f"t must be finite, got {t}")
-    return log_damping_complex_check(1j * t, r)
 
 
 def psi_tail_bound_check(t, a: float, params: PhiPsiParams) -> tuple:

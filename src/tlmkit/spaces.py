@@ -97,30 +97,29 @@ def ensure_band_covered(family: LPFamily, f: GridFunction) -> None:
         )
 
 
-def _block_moduli(family: LPFamily, f: GridFunction, blocks=None) -> tuple:
+def _block_moduli(family: LPFamily, f: GridFunction) -> tuple:
     """(moduli, e): |phi_j(D) (2^-e f)|, j = 0..j_max, once 2^-e f is
     band-covered.  e = 0 while the transforms, up to size times f's peak
     sample, stay in float64; else 2^-e is the exact power of two that keeps
-    them there (the blocks are linear in f), and _weigh adds 2^e back.
-    A caller that holds project_all(family, f) passes it as ``blocks``, and
-    it stands in for the projection while e = 0."""
+    them there (the blocks are linear in f), and _weigh adds 2^e back."""
     e = _rescale_exponent(float(f.modulus().max()), 1.0, f.spec.size)
     if e:
         f = _ldexp(f, -e)
     ensure_band_covered(family, f)
-    if e or blocks is None:
-        blocks = project_all(family, f)
-    return np.abs(blocks), e
+    return np.abs(project_all(family, f)), e
 
 
 def _weigh(moduli: np.ndarray, s: float, e: int) -> np.ndarray:
-    """The rows 2^{js} moduli[j] 2^e: multiplied directly while e = 0 and
-    the products stay in float64, else through ldexp as
-    2^frac(js) 2^(floor(js) + e), so only a row that leaves float64 raises."""
+    """The rows 2^{js} moduli[j] 2^e: multiplied directly while e = 0,
+    every weight is a normal float64 and the products stay in float64,
+    else through ldexp as 2^frac(js) 2^(floor(js) + e), so only a row that
+    leaves float64 raises."""
     n_bands = len(moduli)
     rows = (n_bands,) + (1,) * (moduli.ndim - 1)
     top = (n_bands - 1) * max(s, 0.0)  # log2 of the largest weight
-    if e == 0 and top < _MAX_EXP and not _rescale_exponent(float(moduli.max()), 1.0, 2.0**top):
+    bottom = (n_bands - 1) * min(s, 0.0)  # and of the smallest
+    if (e == 0 and _MIN_EXP <= bottom and top < _MAX_EXP
+            and not _rescale_exponent(float(moduli.max()), 1.0, 2.0**top)):
         weights = np.array([2.0 ** (j * s) for j in range(n_bands)])
         return weights.reshape(rows) * moduli
     # past the clamp every exponent, and so every shift, gives 0 or inf anyway

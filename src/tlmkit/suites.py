@@ -58,7 +58,6 @@ from .scalars import (
     _sequence_rows,
     exp_log_bound_check,
     log_damping_complex_check,
-    log_damping_imag_check,
     phi_kappa,
     psi_kappa,
     psi_tail_bound_check,
@@ -432,7 +431,7 @@ def run_scalar_empirical_suite(cfg: SuiteConfig, baseline: BaselineStore = None)
     for t, r in _LOG_IMAG_CASES:
         t0 = time.perf_counter()
         reports.append(_pair_report(
-            f"log-imag[t={_fmt(t)},r={_fmt(r)}]", log_damping_imag_check(t, r),
+            f"log-imag[t={_fmt(t)},r={_fmt(r)}]", log_damping_complex_check(1j * t, r),
             baseline, t0, {"t": t, "r": r, "n_points": n_grid}))
 
     rng = np.random.default_rng(cfg.seed + 11)

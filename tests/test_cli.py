@@ -205,8 +205,10 @@ def _reject_constant(name):
 @pytest.mark.parametrize("command", ["tlm-norm", "diamond-check"])
 def test_out_is_strict_json(capsys, tmp_path, command):
     out_path = tmp_path / "out.json"
-    code, _, _ = run([command, "-r", "inf", "--out", str(out_path)] + SMALL, capsys)
+    code, out, _ = run([command, "-r", "inf", "--out", str(out_path)] + SMALL, capsys)
     assert code == 0
+    if command == "diamond-check":  # a report command, finished like every other
+        assert out.endswith(f"report written to {out_path}\n")
     text = out_path.read_text()
     json.loads(text, parse_constant=_reject_constant)
     assert '"inf"' in text
@@ -559,12 +561,16 @@ def test_interp_demo_defaults_are_the_first_holder_setup():
     assert (args.p1, args.q1, args.r1, args.s1) == end1
 
 
-@pytest.mark.parametrize("command, dest, owner", [
+CHOICE_OWNERS = [
     ("tlm-norm", "flavor", FLAVORS),
     *((command, "windows", WINDOW_SHAPES)
       for command in ("verify-all", "calibrate", "maximal-suite", "morrey-norm",
                       "tlm-norm", "diamond-check", "interp-demo")),
-])
+]
+
+
+@pytest.mark.parametrize("command, dest, owner", CHOICE_OWNERS,
+                         ids=[f"{command}-{dest}" for command, dest, _ in CHOICE_OWNERS])
 def test_choice_lists_are_their_owners(command, dest, owner):
     (action,) = (a for a in _subparser(command)._actions if a.dest == dest)
     assert tuple(action.choices) == owner

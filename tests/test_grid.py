@@ -504,6 +504,22 @@ def test_a_mutated_source_cannot_stale_the_dft(spec64, real_output):
     assert source.flags.writeable  # the caller's array is left as it was
 
 
+@pytest.mark.parametrize("real_output", [True, False])
+def test_a_mutated_spectrum_cannot_change_the_field(spec64, real_output):
+    drawn = tk.random_bandlimited(spec64, 3, 5, real_output=real_output)
+    spectrum = np.array(drawn.spectrum)
+    kept = spectrum.copy()
+    f = tk.GridFunction(spec64, drawn.values, spectrum=spectrum)
+    spectrum[3] = 99.0
+    assert not np.shares_memory(f.coeffs(), spectrum)
+    assert np.array_equal(f.coeffs(), kept)
+    for g in (f, drawn, tk.GridFunction(spec64, drawn.values)):  # given, drawn, computed
+        assert not g.coeffs().flags.writeable
+        with pytest.raises(ValueError):
+            g.coeffs()[0] = 0.0
+    assert spectrum.flags.writeable  # the caller's array is left as it was
+
+
 @pytest.mark.parametrize("grid", [(1, 256), (2, 32), (3, 16)])
 def test_dyadic_ball_keeps_its_sphere(grid):
     spec = tk.GridSpec(*grid)

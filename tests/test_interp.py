@@ -108,7 +108,9 @@ def test_family_projects_its_base_once(spec256, family_sqrt, sampler256, monkeyp
     setup = general_setup()
     f = tk.random_bandlimited(spec256, 4, 2024)
     fam = tk.build_analytic_family(setup, f, family_sqrt, sampler256)
-    assert projected == [f, fam.base]  # the norm that scales f, then the base
+    # the norm that scales f, then the base: once for its carriers and once
+    # for the weighted stack of its aggregates
+    assert projected == [f, fam.base, fam.base]
     weighted = _weighted_blocks(family_sqrt, fam.base, setup.mid.s)
     blocks = tk.project_all(family_sqrt, fam.base)
     assert len(fam.bands) == len(weighted)

@@ -176,10 +176,8 @@ def test_psi_tail_rejects_middle_arguments():
 
 @pytest.mark.parametrize("r", [0.5, np.inf])
 @pytest.mark.parametrize("entry", [lambda r: PhiPsiParams(1.0, r),
-                                   lambda r: tk.log_damping_complex_check(0.5 + 1j, r),
-                                   lambda r: tk.log_damping_imag_check(2.0, r)],
-                         ids=["PhiPsiParams", "log_damping_complex_check",
-                              "log_damping_imag_check"])
+                                   lambda r: tk.log_damping_complex_check(0.5 + 1j, r)],
+                         ids=["PhiPsiParams", "log_damping_complex_check"])
 def test_every_scalar_entry_point_refuses_r_outside_one_to_inf(entry, r):
     with pytest.raises(ParameterError, match=rf"^need 1 <= r < inf, got r={r}$"):
         entry(r)
@@ -191,14 +189,16 @@ def test_log_damping_imag_exact_formula():
     exact = 2.0 * abs(np.sin(t * np.log(s) / 2.0)) / (r * abs(np.log(s))) \
         * np.log(s + 1.0 / s)
     assert _power_ratio_small_s(1j * t, r, np.array([s]))[0] == pytest.approx(exact, rel=1e-13)
-    coarse, refined = tk.log_damping_imag_check(t, r)
+    coarse, refined = tk.log_damping_complex_check(1j * t, r)
     assert np.isfinite(refined)
     assert abs(refined - coarse) <= STABILITY_TOL * refined
 
 
-@pytest.mark.parametrize("t,r", [(1.0, 1.0), (3.0, 2.0), (-2.5, 1.5), (0.0, 1.0)])
-def test_log_damping_imag_is_the_complex_scan_at_it(t, r):
-    assert tk.log_damping_imag_check(t, r) == tk.log_damping_complex_check(1j * t, r)
+@pytest.mark.parametrize("z", [1j * np.inf, 1j * np.nan, complex(np.inf, 0.0), np.nan])
+def test_log_damping_refuses_a_non_finite_z(z):
+    # the scan would return (nan, nan) with a RuntimeWarning per evaluation
+    with pytest.raises(ParameterError, match=r"^z must be finite, got "):
+        tk.log_damping_complex_check(z, 2.0)
 
 
 def test_log_damping_branch_symmetry():
